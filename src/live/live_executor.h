@@ -2,16 +2,14 @@
 // per-host bundle of engines + timers + poll hook that some OS thread
 // runs for real.
 //
-// Two ways to run one:
-//  - Standalone (Start()/Stop()): the executor owns a thread that loops
-//    RunPass(), spin-polls through an idle window, and parks on its
-//    doorbell — the paper's dedicating-cores mode (Section 2.4) made
-//    literal for a single host.
-//  - Under a LiveScheduler (src/live/live_scheduler.h): scheduler worker
-//    threads call RunPass() directly and the executor's wake target is
-//    redirected to the worker's doorbell, so one worker can host many
-//    executors (spreading/compacting modes) and executors can migrate
-//    between workers at pass boundaries.
+// An executor has no thread of its own: a LiveScheduler
+// (src/live/live_scheduler.h) worker calls RunPass() and owns the idle
+// policy (spin window, park, wake), and the executor's Wake() rings
+// whichever worker's doorbell SetWakeTarget last named. One worker can
+// host many executors (spreading/compacting modes) and executors can
+// migrate between workers at pass boundaries. A one-executor scheduler
+// in dedicated mode is the paper's dedicating-cores mode (Section 2.4)
+// for a single host.
 //
 // The clock is CLOCK_MONOTONIC nanoseconds since a shared runtime epoch,
 // so SimTime values stay small, comparable across the executors of one
@@ -41,7 +39,6 @@
 #include <atomic>
 #include <functional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -63,23 +60,15 @@ class LiveExecutor final : public Substrate {
  public:
   struct Options {
     std::string name = "live";
-    // Core to pin the standalone thread to; -1 leaves placement to the OS.
-    int cpu_affinity = -1;
     // Per-engine budget handed to Engine::Poll each pass.
     SimDuration poll_budget = 100 * kUsec;
-    // Busy-poll this long after the last productive pass before parking.
-    SimDuration spin_before_park = 50 * kUsec;
-    // Longest single park: bounds staleness for event sources that cannot
-    // ring Wake() (a UDP peer in another process).
-    SimDuration max_park = 100 * kUsec;
   };
 
   // `epoch_ns` is the monotonic-clock origin of this executor's timeline;
   // every executor of a runtime shares one epoch so their clocks agree.
   LiveExecutor(uint64_t seed, int64_t epoch_ns, Options options);
-  ~LiveExecutor() override;
 
-  // --- Setup (before Start) ---
+  // --- Setup (before a scheduler starts running it) ---
   void AddEngine(Engine* engine);
   // Runs once per loop iteration, before engine polls; returns the number
   // of work items it produced (fabric drains deliver inbound packets
@@ -89,15 +78,8 @@ class LiveExecutor final : public Substrate {
   // --- Substrate ---
   EventHandle ScheduleAt(SimTime when, EventQueue::Callback cb) override;
 
-  // --- Standalone run control ---
-  void Start();
-  // Signals the thread and joins it. Idempotent.
-  void Stop();
-  // True while a thread (own or a scheduler worker) is driving RunPass().
-  bool running() const {
-    return thread_.joinable() ||
-           externally_running_.load(std::memory_order_acquire);
-  }
+  // True while a scheduler worker is driving RunPass().
+  bool running() const { return running_.load(std::memory_order_acquire); }
 
   // --- Scheduler interface (src/live/live_scheduler.h) ---
   // One full pass: advance the clock, run due timers, the poll hook, each
@@ -109,15 +91,13 @@ class LiveExecutor final : public Substrate {
   // "now" oversleeps deadlines by up to one pass). -1 when no timer is
   // pending. Owning thread only (may cascade the timer wheel).
   int64_t NextTimerDelayNs();
-  // The doorbell Wake() rings by default (standalone mode parks on it).
-  Doorbell* doorbell() { return &doorbell_; }
-  // Redirects Wake() to `target` (a scheduler worker's doorbell); nullptr
-  // restores the executor's own bell. Any thread; takes effect on the
-  // next Wake(). A wake already in flight to the old target is covered by
-  // that worker's bounded park.
+  // Points Wake() at `target` (a scheduler worker's doorbell); nullptr
+  // (the default) drops wakes, as no thread runs the executor. Any
+  // thread; takes effect on the next Wake(). A wake already in flight to
+  // the old target is covered by that worker's bounded park.
   void SetWakeTarget(Doorbell* target);
-  // Scheduler bookkeeping so the setup/running-phase asserts (CreateClient
-  // and friends) hold when the executor has no thread of its own.
+  // Scheduler bookkeeping for the setup/running-phase asserts
+  // (CreateClient and friends).
   void MarkRunning(bool running);
 
   // Thread-safe doorbell: wakes whichever thread currently runs this
@@ -144,16 +124,15 @@ class LiveExecutor final : public Substrate {
     int64_t loop_iterations = 0;
     int64_t work_items = 0;   // engine + hook + timer work
     int64_t timer_fires = 0;
-    int64_t parks = 0;        // standalone mode: times the thread blocked
     int64_t wakes = 0;        // cross-thread Wake() calls
     int64_t busy_ns = 0;      // wall clock inside productive passes
   };
   // Loop counters are written by the running thread only; read them after
-  // Stop() for exact values (mid-run reads are tearing-free but stale).
+  // the scheduler stops for exact values (mid-run reads are tearing-free
+  // but stale).
   Stats GetStats() const;
 
  private:
-  void Run();
   int RunDueTimers(SimTime now);
 
   Options options_;
@@ -161,17 +140,13 @@ class LiveExecutor final : public Substrate {
   EventQueue events_;
   std::vector<Engine*> engines_;
   std::function<int()> poll_hook_;
-  std::thread thread_;
 
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> externally_running_{false};
-  Doorbell doorbell_;
-  std::atomic<Doorbell*> wake_target_{&doorbell_};
+  std::atomic<bool> running_{false};
+  std::atomic<Doorbell*> wake_target_{nullptr};
 
   std::atomic<int64_t> loop_iterations_{0};
   std::atomic<int64_t> work_items_{0};
   std::atomic<int64_t> timer_fires_{0};
-  std::atomic<int64_t> parks_{0};
   std::atomic<int64_t> wakes_{0};
   std::atomic<int64_t> busy_ns_{0};
   std::atomic<int64_t> queue_delay_ns_{0};

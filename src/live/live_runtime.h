@@ -86,8 +86,7 @@ class LiveRuntime {
     LoopbackFabric::Options loopback;
     UdpFabric::Options udp;
     // How executors map onto worker threads (Section 2.4 made live).
-    // Default: dedicated mode, one worker per host — the PR 9 behavior.
-    // spin_before_park/max_park are taken from `executor` above.
+    // Default: dedicated mode, one worker per host.
     LiveScheduler::Options scheduler;
     // Pin worker i to core (pin_base_core + i).
     bool pin_threads = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <utility>
 
 #include "src/util/logging.h"
@@ -86,11 +87,10 @@ void LiveScheduler::Start() {
   }
 
   owner_.clear();
-  target_.assign(n, 0);
-  calm_ticks_.assign(n, 0);
+  placement_.assign(workers_.size(), {});
   for (int e = 0; e < n; ++e) {
     int w = InitialWorkerFor(e);
-    target_[e] = w;
+    placement_[w].push_back(e);
     owner_.push_back(std::make_unique<std::atomic<int>>(w));
     workers_[w]->local.push_back(executors_[e]);
     workers_[w]->local_index.push_back(e);
@@ -149,8 +149,8 @@ void LiveScheduler::DrainMailbox(Worker* w) {
     w->local.push_back(a.exec);
     w->local_index.push_back(a.exec_index);
     w->migrations_in.fetch_add(1, std::memory_order_relaxed);
-    // Arrival publication: the rebalancer sees owner == target and may
-    // issue the next move for this executor.
+    // Arrival publication: once every owner matches the rebalancer's
+    // placement, it may issue the next move.
     owner_[a.exec_index]->store(w->index, std::memory_order_release);
   }
   for (const Move& m : moves) {
@@ -252,28 +252,45 @@ void LiveScheduler::WorkerLoop(Worker* w) {
   }
 }
 
-void LiveScheduler::RequestMove(int exec_index, int from_worker,
-                                int to_worker, Decision::Kind kind,
-                                int64_t observed_delay_ns) {
-  target_[exec_index] = to_worker;
-  decisions_.push_back(Decision{kind, exec_index, from_worker, to_worker,
-                                observed_delay_ns,
-                                MonotonicTimeNs() - epoch_ns_});
-  Worker* from = workers_[from_worker].get();
+bool LiveScheduler::MoveInFlight() const {
+  for (size_t w = 0; w < placement_.size(); ++w) {
+    for (int e : placement_[w]) {
+      if (owner_[static_cast<size_t>(e)]->load(std::memory_order_acquire) !=
+          static_cast<int>(w)) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+void LiveScheduler::RequestMove(const CompactingPolicy::Move& move) {
+  std::vector<int>& src = placement_[static_cast<size_t>(move.from_worker)];
+  src.erase(std::find(src.begin(), src.end(), move.unit));
+  placement_[static_cast<size_t>(move.to_worker)].push_back(move.unit);
+  Decision decision{Decision::kScaleOut, move.unit, move.from_worker,
+                    move.to_worker, move.observed_delay_ns,
+                    MonotonicTimeNs() - epoch_ns_};
+  if (move.kind == CompactingPolicy::Move::kCompact) {
+    decision.kind = Decision::kCompact;
+  }
+  decisions_.push_back(decision);
+  LiveExecutor* exec = executors_[static_cast<size_t>(move.unit)];
+  Worker* from = workers_[static_cast<size_t>(move.from_worker)].get();
   {
     std::lock_guard<std::mutex> lock(from->mu);
-    from->moves.push_back(
-        Move{executors_[exec_index], exec_index, to_worker});
+    from->moves.push_back(Move{exec, move.unit, move.to_worker});
     from->commands_pending.store(true, std::memory_order_release);
   }
   from->doorbell.Ring();
 }
 
 void LiveScheduler::ControlLoop() {
-  const int n = static_cast<int>(executors_.size());
   const int num_workers = static_cast<int>(workers_.size());
   const bool rebalance =
       options_.mode == SchedulingMode::kCompactingEngines && num_workers > 1;
+  CompactingPolicy policy(options_.compacting_slo_ns);
+  std::vector<int64_t> delays(executors_.size());
   int64_t tick_ns = options_.rebalance_interval_ns;
   if (!profile_path_.empty() && profile_interval_ms_ > 0) {
     tick_ns = std::min(tick_ns, int64_t{profile_interval_ms_} * 1'000'000);
@@ -286,57 +303,14 @@ void LiveScheduler::ControlLoop() {
     if (stop_.load(std::memory_order_relaxed)) {
       break;
     }
-    if (rebalance) {
-      // Per-target executor counts: the rebalancer's own view of the
-      // placement (in-flight moves count at their destination).
-      std::vector<int> load(static_cast<size_t>(num_workers), 0);
-      for (int e = 0; e < n; ++e) {
-        ++load[static_cast<size_t>(target_[e])];
+    if (rebalance && !MoveInFlight()) {
+      for (size_t e = 0; e < executors_.size(); ++e) {
+        delays[e] = executors_[e]->queue_delay_ns();
       }
-      for (int e = 0; e < n; ++e) {
-        const int own = owner_[static_cast<size_t>(e)]->load(
-            std::memory_order_acquire);
-        if (own != target_[e]) {
-          continue;  // move in flight; let it land first
-        }
-        const int64_t delay = executors_[static_cast<size_t>(e)]
-                                  ->queue_delay_ns();
-        if (delay > options_.compacting_slo_ns) {
-          calm_ticks_[static_cast<size_t>(e)] = 0;
-          if (load[static_cast<size_t>(own)] < 2) {
-            continue;  // already alone on its worker: nothing to shed
-          }
-          // Scale out: move the overloaded executor to the emptiest
-          // other worker.
-          int to = -1;
-          for (int cand = 0; cand < num_workers; ++cand) {
-            if (cand == own) {
-              continue;
-            }
-            if (to < 0 ||
-                load[static_cast<size_t>(cand)] <
-                    load[static_cast<size_t>(to)]) {
-              to = cand;
-            }
-          }
-          if (to >= 0 && load[static_cast<size_t>(to)] <
-                             load[static_cast<size_t>(own)]) {
-            --load[static_cast<size_t>(own)];
-            ++load[static_cast<size_t>(to)];
-            RequestMove(e, own, to, Decision::kScaleOut, delay);
-          }
-        } else {
-          if (own == 0) {
-            continue;  // already on the primary
-          }
-          if (++calm_ticks_[static_cast<size_t>(e)] >=
-              options_.compact_after_samples) {
-            calm_ticks_[static_cast<size_t>(e)] = 0;
-            --load[static_cast<size_t>(own)];
-            ++load[0];
-            RequestMove(e, own, 0, Decision::kCompact, delay);
-          }
-        }
+      std::optional<CompactingPolicy::Move> move =
+          policy.Decide(delays, placement_);
+      if (move.has_value()) {
+        RequestMove(*move);
       }
     }
     if (!profile_path_.empty() && profile_interval_ms_ > 0 &&

@@ -1,7 +1,8 @@
 // LiveScheduler: Snap's engine scheduling modes (Section 2.4, Figure 3)
-// on real OS threads. Where the sim-side EngineGroup schedules engine
-// SimTasks over a modeled CPU, this schedules whole LiveExecutors (one
-// per host: engines + NIC + timers) over worker threads:
+// on real OS threads, and the only loop that drives LiveExecutors. Where
+// the sim-side EngineGroup schedules engine SimTasks over a modeled CPU,
+// this schedules whole LiveExecutors (one per host: engines + NIC +
+// timers) over worker threads:
 //
 //  - kDedicatedCores: one worker per executor (or per reserved core),
 //    each spin-polling through its idle window before parking — the
@@ -10,11 +11,12 @@
 //    doorbell IMMEDIATELY when idle (no spin window) and wakes on
 //    submit/packet arrival — the scale-to-zero mode.
 //  - kCompactingEngines: a bounded worker pool; all executors start
-//    compacted on worker 0 and a rebalancer thread scales out when an
-//    executor's queueing delay exceeds the SLO (40 µs default), then
-//    compacts back when load subsides — Shenango-style, using the
-//    executors' busy_ns/queue_delay_ns load signals (the live analogue
-//    of the PR 8 shard profiler's busy/wait split).
+//    compacted on worker 0 and a rebalancer thread applies the same
+//    CompactingPolicy (src/snap/compacting_policy.h) as the sim's
+//    CompactingGroup: the worst executor's queueing delay above the SLO
+//    (40 µs default) scales it out; total delay below SLO/4 for four
+//    rounds compacts one back. Executors are the policy's units, in
+//    AddExecutor order.
 //
 // Migration protocol (compacting): executors move between workers only
 // at pass boundaries. The rebalancer is the SOLE mover: it appends a
@@ -25,9 +27,8 @@
 // mailbox — so engine/NIC/timer state always passes between threads
 // through a mutex (happens-before), and exactly one thread runs an
 // executor at any moment. owner_[exec] (written by the receiving
-// worker) vs target_[exec] (rebalancer-only) tracks moves in flight;
-// the rebalancer never issues a second move for an executor whose first
-// has not landed.
+// worker) vs placement_ (rebalancer-only) tracks moves in flight; the
+// rebalancer skips its tick while any move has not landed.
 //
 // Each worker owns a TraceRecorder (single-writer) for its park/wake
 // and migration instants; LiveRuntime merges them after Stop() on
@@ -43,6 +44,7 @@
 #include <vector>
 
 #include "src/live/live_executor.h"
+#include "src/snap/compacting_policy.h"
 #include "src/snap/engine_group.h"
 #include "src/stats/trace.h"
 #include "src/util/doorbell.h"
@@ -65,8 +67,6 @@ class LiveScheduler {
     int max_workers = 4;
     int64_t compacting_slo_ns = 40'000;       // scale-out threshold
     int64_t rebalance_interval_ns = 200'000;  // rebalancer tick
-    // Consecutive under-SLO ticks before compacting an executor back.
-    int compact_after_samples = 8;
     // Worker idle behavior: busy-poll this long after the last productive
     // pass, then park (spreading mode forces 0 = park immediately).
     int64_t spin_before_park_ns = 50'000;
@@ -83,7 +83,7 @@ class LiveScheduler {
     int executor;
     int from_worker;
     int to_worker;
-    int64_t observed_delay_ns;  // queueing delay that triggered it
+    int64_t observed_delay_ns;  // scale-out: its delay; compact: total
     int64_t at_ns;              // executor-epoch timestamp
   };
 
@@ -173,8 +173,8 @@ class LiveScheduler {
   void WorkerLoop(Worker* w);
   void DrainMailbox(Worker* w);
   void ControlLoop();
-  void RequestMove(int exec_index, int from_worker, int to_worker,
-                   Decision::Kind kind, int64_t observed_delay_ns);
+  bool MoveInFlight() const;
+  void RequestMove(const CompactingPolicy::Move& move);
   int InitialWorkerFor(int exec_index) const;
 
   Options options_;
@@ -183,12 +183,11 @@ class LiveScheduler {
   std::vector<std::unique_ptr<Worker>> workers_;
 
   // owner_[e]: worker currently running executor e (written by the worker
-  // that receives it); target_[e]: where the rebalancer last sent it
-  // (rebalancer/setup only). owner != target => move in flight.
+  // that receives it); placement_[w]: executors the rebalancer has sent
+  // to worker w, in arrival order (rebalancer/setup only). An executor
+  // whose owner differs from its placement is a move in flight.
   std::vector<std::unique_ptr<std::atomic<int>>> owner_;
-  std::vector<int> target_;
-  // Consecutive under-SLO rebalancer ticks per executor (rebalancer only).
-  std::vector<int> calm_ticks_;
+  std::vector<std::vector<int>> placement_;
 
   std::thread control_thread_;
   Doorbell control_doorbell_;

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <map>
+#include <optional>
 
+#include "src/snap/compacting_policy.h"
 #include "src/util/logging.h"
 
 namespace snap {
@@ -280,7 +281,8 @@ class SpreadingGroup : public EngineGroup {
 // ---------------------------------------------------------------------------
 // Compacting engines: engines multiplexed onto as few threads as possible;
 // a rebalancer (run from the primary worker) polls engine queueing delays
-// against an SLO and scales out / compacts / swaps (Section 2.4).
+// and applies CompactingPolicy's scale-out / compaction rule against the
+// SLO (Section 2.4).
 // ---------------------------------------------------------------------------
 class CompactingGroup : public EngineGroup {
  public:
@@ -289,7 +291,8 @@ class CompactingGroup : public EngineGroup {
       : name_(std::move(name)),
         sim_(sim),
         sched_(sched),
-        options_(options) {
+        options_(options),
+        policy_(options.compacting_slo) {
     SNAP_CHECK_GT(options.max_workers, 0);
     for (int i = 0; i < options.max_workers; ++i) {
       auto w = std::make_unique<Worker>(
@@ -300,6 +303,7 @@ class CompactingGroup : public EngineGroup {
                                       options_.mq_period);
       workers_.push_back(std::move(w));
     }
+    placement_.resize(workers_.size());
     // The primary spin-polls by default.
     sched_->Wake(workers_.front().get(), /*remote=*/false);
   }
@@ -307,7 +311,7 @@ class CompactingGroup : public EngineGroup {
   void AddEngine(Engine* engine) override {
     workers_.front()->engines.push_back(engine);
     InstallPollHistogram(sim_, engine);
-    owner_[engine] = 0;
+    units_.push_back(engine);
     CompactingGroup* group = this;
     engine->SetWakeHook([group, engine] { group->OnEngineWork(engine); });
     sched_->Wake(workers_.front().get(), /*remote=*/false);
@@ -318,7 +322,8 @@ class CompactingGroup : public EngineGroup {
       auto& v = w->engines;
       v.erase(std::remove(v.begin(), v.end(), engine), v.end());
     }
-    owner_.erase(engine);
+    units_.erase(std::remove(units_.begin(), units_.end(), engine),
+                 units_.end());
     engine->SetWakeHook(nullptr);
   }
 
@@ -342,9 +347,6 @@ class CompactingGroup : public EngineGroup {
     }
     return n;
   }
-
-  int64_t rebalance_scale_outs() const { return scale_outs_; }
-  int64_t rebalance_compactions() const { return compactions_; }
 
  private:
   class Worker : public SimTask {
@@ -394,73 +396,46 @@ class CompactingGroup : public EngineGroup {
   };
 
   void OnEngineWork(Engine* engine) {
-    auto it = owner_.find(engine);
-    if (it == owner_.end()) {
-      return;
+    for (auto& w : workers_) {
+      if (std::find(w->engines.begin(), w->engines.end(), engine) !=
+          w->engines.end()) {
+        sched_->Wake(w.get(), /*remote=*/true);
+        return;
+      }
     }
-    sched_->Wake(workers_[it->second].get(), /*remote=*/true);
   }
 
   // One rebalancer pass; returns its modeled CPU cost.
   SimDuration Rebalance(SimTime now) {
     SimDuration cost = kRebalanceBaseCost +
                        kRebalancePerEngineCost *
-                           static_cast<SimDuration>(owner_.size());
-    // Find the engine with the worst queueing delay.
-    Engine* worst = nullptr;
-    SimDuration worst_delay = 0;
-    SimDuration total_delay = 0;
-    for (auto& [engine, worker] : owner_) {
-      SimDuration d = engine->QueueingDelay(now);
-      total_delay += d;
-      if (d > worst_delay) {
-        worst_delay = d;
-        worst = engine;
+                           static_cast<SimDuration>(units_.size());
+    // The policy sees units by registration index.
+    delays_.clear();
+    for (Engine* engine : units_) {
+      delays_.push_back(engine->QueueingDelay(now));
+    }
+    for (size_t w = 0; w < workers_.size(); ++w) {
+      placement_[w].clear();
+      for (Engine* engine : workers_[w]->engines) {
+        auto unit = std::find(units_.begin(), units_.end(), engine);
+        placement_[w].push_back(static_cast<int>(unit - units_.begin()));
       }
     }
-    if (worst != nullptr && worst_delay > options_.compacting_slo) {
-      // Scale out: move the worst engine off a shared worker to the
-      // emptiest other worker (waking it if necessary).
-      int from = owner_[worst];
-      if (workers_[from]->engines.size() > 1) {
-        int to = -1;
-        size_t fewest = SIZE_MAX;
-        for (int i = 0; i < static_cast<int>(workers_.size()); ++i) {
-          if (i == from) {
-            continue;
-          }
-          if (workers_[i]->engines.size() < fewest) {
-            fewest = workers_[i]->engines.size();
-            to = i;
-          }
-        }
-        if (to >= 0 && fewest < workers_[from]->engines.size()) {
-          MoveEngine(worst, from, to);
-          ++scale_outs_;
-          NoteRebalance(now, "scale_out", worst);
-          sched_->Wake(workers_[to].get(), /*remote=*/true);
-        }
-      }
-      idle_rounds_ = 0;
+    std::optional<CompactingPolicy::Move> move =
+        policy_.Decide(delays_, placement_);
+    if (!move.has_value()) {
       return cost;
     }
-    // Compaction: after consecutive low-load rounds, migrate an engine from
-    // the busiest secondary back toward the primary.
-    if (total_delay < options_.compacting_slo / 4) {
-      if (++idle_rounds_ >= 4) {
-        idle_rounds_ = 0;
-        for (int i = static_cast<int>(workers_.size()) - 1; i >= 1; --i) {
-          if (!workers_[i]->engines.empty()) {
-            Engine* moved = workers_[i]->engines.back();
-            MoveEngine(moved, i, 0);
-            ++compactions_;
-            NoteRebalance(now, "compaction", moved);
-            break;
-          }
-        }
-      }
+    Engine* engine = units_[static_cast<size_t>(move->unit)];
+    auto& src = workers_[move->from_worker]->engines;
+    src.erase(std::remove(src.begin(), src.end(), engine), src.end());
+    workers_[move->to_worker]->engines.push_back(engine);
+    if (move->kind == CompactingPolicy::Move::kScaleOut) {
+      NoteRebalance(now, "scale_out", engine);
+      sched_->Wake(workers_[move->to_worker].get(), /*remote=*/true);
     } else {
-      idle_rounds_ = 0;
+      NoteRebalance(now, "compaction", engine);
     }
     return cost;
   }
@@ -479,22 +454,17 @@ class CompactingGroup : public EngineGroup {
     }
   }
 
-  void MoveEngine(Engine* engine, int from, int to) {
-    auto& src = workers_[from]->engines;
-    src.erase(std::remove(src.begin(), src.end(), engine), src.end());
-    workers_[to]->engines.push_back(engine);
-    owner_[engine] = to;
-  }
-
   std::string name_;
   Substrate* sim_;
   CpuScheduler* sched_;
   Options options_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::map<Engine*, int> owner_;
-  int idle_rounds_ = 0;
-  int64_t scale_outs_ = 0;
-  int64_t compactions_ = 0;
+  // Engines in AddEngine order: the policy's unit indices.
+  std::vector<Engine*> units_;
+  CompactingPolicy policy_;
+  // Per-round policy inputs, kept to reuse their storage.
+  std::vector<int64_t> delays_;
+  std::vector<std::vector<int>> placement_;
 };
 
 }  // namespace

@@ -6,8 +6,11 @@
 //  - Spreading engines: one MicroQuanta thread per engine that blocks on
 //    interrupt notification when idle and wakes to any available core.
 //  - Compacting engines: work collapsed onto as few cores as possible; a
-//    rebalancer polls engine queueing delays (Shenango-style) and scales
-//    out / compacts within a latency SLO.
+//    rebalancer polls engine queueing delays (Shenango-style) each
+//    rebalance_interval and applies CompactingPolicy
+//    (src/snap/compacting_policy.h): the worst engine above the SLO
+//    scales out, total delay below SLO/4 for four rounds compacts one
+//    back. The live LiveScheduler applies the same policy to executors.
 //
 // Each mode is a set of SimTasks over the shared CPU model, so all the
 // paper's scheduling effects (C-state wakeups, MicroQuanta vs CFS,

@@ -1,12 +1,17 @@
 // Engine-group scheduler tests: the three scheduling modes of Section 2.4
 // exercised with synthetic engines — dedicated spinning, spreading's
 // block/wake behavior, compacting's scale-out and compaction, mailbox
-// execution on the engine thread, and fair sharing.
+// execution on the engine thread, and fair sharing — plus the shared
+// CompactingPolicy rule, table-driven.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "src/sim/cpu.h"
+#include "src/snap/compacting_policy.h"
 #include "src/snap/engine_group.h"
 
 namespace snap {
@@ -306,6 +311,106 @@ TEST_F(EngineGroupTest, RemoveEngineStopsPolling) {
   engine.AddWork(sim_.now(), 5);
   sim_.RunFor(5 * kMsec);
   EXPECT_EQ(engine.serviced(), 0);
+}
+
+// Renders a policy decision for the table below: "-" for no move, else
+// "out|in u<unit> <from>><to> <observed delay in us>".
+std::string DescribeMove(const std::optional<CompactingPolicy::Move>& move) {
+  if (!move.has_value()) {
+    return "-";
+  }
+  const char* kind =
+      move->kind == CompactingPolicy::Move::kScaleOut ? "out" : "in";
+  return std::string(kind) + " u" + std::to_string(move->unit) + " " +
+         std::to_string(move->from_worker) + ">" +
+         std::to_string(move->to_worker) + " " +
+         std::to_string(move->observed_delay_ns / kUsec);
+}
+
+// The compacting rule shared by CompactingGroup and LiveScheduler, one
+// round per row against a 40 us SLO. Consecutive rows with the same case
+// name feed one policy; each row gives the units' queueing delays (us),
+// each worker's unit list, the expected decision and the calm-round
+// count after it. Cases:
+//  shared      the worst unit above the SLO shares its worker: scale out
+//  at_slo      a delay equal to the SLO is no breach
+//  alone       the worst unit is alone on its worker: no move, even with
+//              an empty worker to go to
+//  one_worker  no other worker: no move
+//  emptiest    the target is the lowest-index emptiest other worker
+//  to_primary  the emptiest other worker may be the primary
+//  not_fewer   the target must hold strictly fewer units
+//  tie         equal delays go to the lower registration index, not the
+//              worker-list order
+//  calm4       compaction after four rounds with total delay < SLO/4
+//  last_unit   compaction moves the last unit of the highest-index
+//              non-empty secondary
+//  slo_reset   an over-SLO round resets the calm count
+//  load_reset  a round with total delay = SLO/4 resets the calm count
+//  no_target   calm rounds with nothing to compact restart the count
+TEST(CompactingPolicyTest, DecidesPerTable) {
+  struct Row {
+    const char* name;
+    std::vector<int64_t> delays_us;
+    std::vector<std::vector<int>> workers;
+    const char* expected;
+    int calm_after;
+  };
+  const std::vector<Row> table = {
+      {"shared", {10, 50}, {{0, 1}, {}, {}}, "out u1 0>1 50", 0},
+      {"at_slo", {0, 40}, {{0, 1}, {}}, "-", 0},
+      {"alone", {10, 50}, {{0}, {1}, {}}, "-", 0},
+      {"one_worker", {50, 60}, {{0, 1}}, "-", 0},
+      {"emptiest", {90, 0, 0, 0}, {{0, 1, 2}, {3}, {}, {}}, "out u0 0>2 90", 0},
+      {"emptiest", {90, 0, 0, 0}, {{0, 1}, {2}, {3}}, "out u0 0>1 90", 0},
+      {"to_primary", {0, 90, 0}, {{0}, {1, 2}}, "out u1 1>0 90", 0},
+      {"not_fewer", {90, 0, 0, 0}, {{0, 1}, {2, 3}}, "-", 0},
+      {"tie", {50, 50}, {{1, 0}, {}}, "out u0 0>1 50", 0},
+      {"calm4", {0, 0, 0}, {{0}, {1}, {2}}, "-", 1},
+      {"calm4", {0, 0, 0}, {{0}, {1}, {2}}, "-", 2},
+      {"calm4", {0, 0, 0}, {{0}, {1}, {2}}, "-", 3},
+      {"calm4", {0, 0, 0}, {{0}, {1}, {2}}, "in u2 2>0 0", 0},
+      {"calm4", {0, 0, 0}, {{0, 2}, {1}, {}}, "-", 1},
+      {"last_unit", {1, 2, 3}, {{0}, {1, 2}, {}, {}}, "-", 1},
+      {"last_unit", {1, 2, 3}, {{0}, {1, 2}, {}, {}}, "-", 2},
+      {"last_unit", {1, 2, 3}, {{0}, {1, 2}, {}, {}}, "-", 3},
+      {"last_unit", {1, 2, 3}, {{0}, {1, 2}, {}, {}}, "in u2 1>0 6", 0},
+      {"slo_reset", {0, 0, 0}, {{0}, {1}, {2}}, "-", 1},
+      {"slo_reset", {0, 0, 0}, {{0}, {1}, {2}}, "-", 2},
+      {"slo_reset", {0, 0, 0}, {{0}, {1}, {2}}, "-", 3},
+      {"slo_reset", {0, 90, 0}, {{0}, {1}, {2}}, "-", 0},
+      {"slo_reset", {0, 0, 0}, {{0}, {1}, {2}}, "-", 1},
+      {"slo_reset", {0, 0, 0}, {{0}, {1}, {2}}, "-", 2},
+      {"slo_reset", {0, 0, 0}, {{0}, {1}, {2}}, "-", 3},
+      {"slo_reset", {0, 0, 0}, {{0}, {1}, {2}}, "in u2 2>0 0", 0},
+      {"load_reset", {0, 0, 0}, {{0}, {1}, {2}}, "-", 1},
+      {"load_reset", {0, 0, 0}, {{0}, {1}, {2}}, "-", 2},
+      {"load_reset", {0, 0, 0}, {{0}, {1}, {2}}, "-", 3},
+      {"load_reset", {5, 5, 0}, {{0}, {1}, {2}}, "-", 0},
+      {"load_reset", {0, 0, 0}, {{0}, {1}, {2}}, "-", 1},
+      {"load_reset", {0, 0, 0}, {{0}, {1}, {2}}, "-", 2},
+      {"load_reset", {0, 0, 0}, {{0}, {1}, {2}}, "-", 3},
+      {"load_reset", {0, 0, 0}, {{0}, {1}, {2}}, "in u2 2>0 0", 0},
+      {"no_target", {0, 0, 0}, {{0, 1, 2}, {}}, "-", 1},
+      {"no_target", {0, 0, 0}, {{0, 1, 2}, {}}, "-", 2},
+      {"no_target", {0, 0, 0}, {{0, 1, 2}, {}}, "-", 3},
+      {"no_target", {0, 0, 0}, {{0, 1, 2}, {}}, "-", 0},
+      {"no_target", {0, 0, 0}, {{0, 1, 2}, {}}, "-", 1},
+  };
+  std::optional<CompactingPolicy> policy;
+  for (size_t i = 0; i < table.size(); ++i) {
+    const Row& row = table[i];
+    if (i == 0 || std::string(row.name) != table[i - 1].name) {
+      policy.emplace(40 * kUsec);
+    }
+    SCOPED_TRACE(std::string(row.name) + ", row " + std::to_string(i));
+    std::vector<int64_t> delays;
+    for (int64_t us : row.delays_us) {
+      delays.push_back(us * kUsec);
+    }
+    EXPECT_EQ(DescribeMove(policy->Decide(delays, row.workers)), row.expected);
+    EXPECT_EQ(policy->calm_rounds(), row.calm_after);
+  }
 }
 
 // Parameterized: every mode must deliver all work under mixed load.

@@ -86,20 +86,29 @@ TEST(WireFrameTest, RejectsTruncatedAndGarbageFrames) {
 }
 
 TEST(LiveExecutorTest, FiresTimersAndClampsPastDeadlines) {
+  int64_t epoch = MonotonicTimeNs();
   LiveExecutor::Options options;
   options.name = "timer-test";
-  LiveExecutor exec(/*seed=*/1, /*epoch_ns=*/MonotonicTimeNs(), options);
+  LiveExecutor exec(/*seed=*/1, epoch, options);
+  // One dedicated worker that parks as soon as it is idle; its park is
+  // bounded by the pending 1 ms timer, not only by the 1 s cap.
+  LiveScheduler::Options sched_options;
+  sched_options.mode = SchedulingMode::kDedicatedCores;
+  sched_options.spin_before_park_ns = 0;
+  sched_options.max_park_ns = 1'000'000'000;
+  LiveScheduler sched(epoch, sched_options);
+  sched.AddExecutor(&exec);
   std::atomic<int> fired{0};
-  // Deadline 0 is in the past once the thread starts (the sim would
+  // Deadline 0 is in the past once the worker starts (the sim would
   // CHECK-fail here; live clamps and fires on the first loop pass).
   exec.ScheduleAt(0, [&] { fired.fetch_add(1); });
   exec.Schedule(1 * kMsec, [&] { fired.fetch_add(1); });
-  exec.Start();
+  sched.Start();
   int64_t deadline = MonotonicTimeNs() + kTestDeadlineNs;
   while (fired.load() < 2 && MonotonicTimeNs() < deadline) {
     std::this_thread::yield();
   }
-  exec.Stop();
+  sched.Stop();
   EXPECT_EQ(fired.load(), 2);
   LiveExecutor::Stats stats = exec.GetStats();
   EXPECT_EQ(stats.timer_fires, 2);
