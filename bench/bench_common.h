@@ -1,13 +1,16 @@
-// Shared scaffolding for the paper-reproduction benchmarks: rack assembly,
-// measurement windows, and table printing. Each bench binary regenerates
-// one table or figure from the paper's Section 5 and prints the paper's
-// reported values alongside for comparison.
+// Shared scaffolding for the paper-reproduction benchmarks: the serial
+// rack substrate (Rack), the windowed per-host CPU reading (CpuWindow),
+// and table printing. Each bench binary regenerates one table or figure
+// from the paper's Section 5 and prints the paper's reported values
+// alongside for comparison. The workloads that run on a rack live in
+// bench/rpc_rack.h; the sharded substrate is bench/sharded_rack.h.
 #ifndef BENCH_BENCH_COMMON_H_
 #define BENCH_BENCH_COMMON_H_
 
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/apps/pony_apps.h"
@@ -17,7 +20,17 @@
 
 namespace snap {
 
-// A rack of identical SimHosts on one fabric.
+// Raw host pointers, indexed by host id, for workloads and CPU windows.
+inline std::vector<SimHost*> HostList(
+    const std::vector<std::unique_ptr<SimHost>>& hosts) {
+  std::vector<SimHost*> list;
+  for (const auto& h : hosts) {
+    list.push_back(h.get());
+  }
+  return list;
+}
+
+// A rack of identical SimHosts on one fabric, run by one serial Simulator.
 class Rack {
  public:
   Rack(uint64_t seed, int num_hosts, const SimHostOptions& options,
@@ -35,6 +48,7 @@ class Rack {
   PonyDirectory& directory() { return directory_; }
   SimHost* host(int i) { return hosts_[i].get(); }
   int size() const { return static_cast<int>(hosts_.size()); }
+  std::vector<SimHost*> hosts() const { return HostList(hosts_); }
 
  private:
   Simulator sim_;
@@ -43,30 +57,30 @@ class Rack {
   std::vector<std::unique_ptr<SimHost>> hosts_;
 };
 
-// Snapshot of per-host CPU consumption, for windowed "CPU/sec" readings.
-struct CpuSnapshot {
-  std::vector<int64_t> totals;
+// CPU consumed by a list of hosts over a measurement window, read as mean
+// cores per host: Start() at the window's start, MeanCores() at its end.
+class CpuWindow {
+ public:
+  explicit CpuWindow(std::vector<SimHost*> hosts) : hosts_(std::move(hosts)) {}
 
-  static CpuSnapshot Take(Rack& rack) {
-    CpuSnapshot snap;
-    for (int i = 0; i < rack.size(); ++i) {
-      SimHost* h = rack.host(i);
-      snap.totals.push_back(h->SnapCpuNs() + h->KernelCpuNs() +
-                            h->AppCpuNs());
-    }
-    return snap;
+  void Start() { start_ns_ = TotalNs(); }
+
+  double MeanCores(SimDuration window) const {
+    return static_cast<double>(TotalNs() - start_ns_) /
+           static_cast<double>(window) / static_cast<double>(hosts_.size());
   }
 
-  // Mean cores consumed per host over the window ending at `after`.
-  static double MeanCores(const CpuSnapshot& before,
-                          const CpuSnapshot& after, SimDuration window) {
-    double total = 0;
-    for (size_t i = 0; i < before.totals.size(); ++i) {
-      total += static_cast<double>(after.totals[i] - before.totals[i]);
+ private:
+  int64_t TotalNs() const {
+    int64_t total = 0;
+    for (const SimHost* h : hosts_) {
+      total += h->SnapCpuNs() + h->KernelCpuNs() + h->AppCpuNs();
     }
-    return total / static_cast<double>(window) /
-           static_cast<double>(before.totals.size());
+    return total;
   }
+
+  std::vector<SimHost*> hosts_;
+  int64_t start_ns_ = 0;
 };
 
 inline void PrintHeader(const std::string& title) {

@@ -48,89 +48,19 @@ Histogram RunPonyWithAntagonists(bool use_cfs, int hosts, int jobs,
   config.host_options.group.mode = SchedulingMode::kSpreadingEngines;
   config.host_options.group.spreading_use_cfs = use_cfs;
   config.host_options.cpu.num_cores = 6;  // contended machine
+  config.prober_spins = true;  // isolate engine-class effects from app wakeup
 
-  // Assemble manually so antagonists can be injected (RunPonyRpcRack owns
-  // its rack): reuse the helper but wrap with antagonists by rebuilding.
+  // Antagonists start before the workload, on the same rack.
   Rack rack(config.seed, config.hosts, config.host_options);
   AntagonistSet antagonists;
   AddAntagonists(rack, hogs_per_host, &antagonists);
-
-  // Background jobs + probers (condensed version of RunPonyRpcRack).
-  struct Job {
-    PonyEngine* engine;
-    std::unique_ptr<PonyClient> cli;
-    std::unique_ptr<PonyClient> srv;
-    std::unique_ptr<PonyRpcClientTask> cli_task;
-    std::unique_ptr<PonyRpcServerTask> srv_task;
-  };
-  std::vector<Job> jobs_vec;
-  std::vector<PonyAddress> addresses;
-  for (int h = 0; h < config.hosts; ++h) {
-    for (int j = 0; j < config.jobs_per_host; ++j) {
-      Job job;
-      job.engine = rack.host(h)->CreatePonyEngine(
-          "job" + std::to_string(h) + "_" + std::to_string(j));
-      job.cli = rack.host(h)->CreateClient(job.engine, "cli");
-      job.srv = rack.host(h)->CreateClient(job.engine, "srv");
-      job.engine->SetDefaultSink(job.srv.get());
-      addresses.push_back(job.engine->address());
-      jobs_vec.push_back(std::move(job));
-    }
-  }
-  double per_job_rate = load_gbps * 1e9 /
-                        (8.0 * (1 << 20) * config.jobs_per_host);
-  size_t index = 0;
-  for (int h = 0; h < config.hosts; ++h) {
-    for (int j = 0; j < config.jobs_per_host; ++j, ++index) {
-      Job& job = jobs_vec[index];
-      job.srv_task = std::make_unique<PonyRpcServerTask>(
-          "srv", rack.host(h)->cpu(), job.srv.get());
-      job.srv_task->Start();
-      PonyRpcClientTask::Options co;
-      co.rpcs_per_sec = per_job_rate;
-      co.response_bytes = 1 << 20;
-      co.rng_seed = 7 + index;
-      for (const PonyAddress& addr : addresses) {
-        if (!(addr == job.engine->address())) {
-          co.peers.push_back(addr);
-        }
-      }
-      job.cli_task = std::make_unique<PonyRpcClientTask>(
-          "cli", rack.host(h)->cpu(), job.cli.get(), co);
-      job.cli_task->Start();
-    }
-  }
-  std::vector<std::unique_ptr<PonyClient>> prober_clients;
-  std::vector<std::unique_ptr<PonyRpcClientTask>> probers;
-  for (int h = 0; h < config.hosts; ++h) {
-    PonyEngine* pe =
-        rack.host(h)->CreatePonyEngine("prober" + std::to_string(h));
-    prober_clients.push_back(rack.host(h)->CreateClient(pe, "prober"));
-    PonyRpcClientTask::Options po;
-    po.rpcs_per_sec = 500;
-    po.response_bytes = 64;
-    po.spin = true;  // isolate engine-class effects from app scheduling
-    po.rng_seed = 5000 + h;
-    for (const PonyAddress& addr : addresses) {
-      if (addr.host != h) {
-        po.peers.push_back(addr);
-      }
-    }
-    probers.push_back(std::make_unique<PonyRpcClientTask>(
-        "prober", rack.host(h)->cpu(), prober_clients.back().get(), po));
-    probers.back()->Start();
-  }
-
+  PonyRpcRackWorkload workload(config, rack.hosts());
   rack.sim().RunFor(kWarmup);
-  for (auto& p : probers) {
-    p->ResetStats();
-  }
+  workload.StartWindow();
   rack.sim().RunFor(kWindow);
-  Histogram latency;
-  for (auto& p : probers) {
-    latency.Merge(p->latency());
-  }
-  return latency;
+  RpcRackResult result;
+  workload.Collect(kWindow, &result);
+  return result.prober_latency;
 }
 
 }  // namespace

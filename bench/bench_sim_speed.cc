@@ -18,7 +18,8 @@
 // The rack_scaling case sweeps rack sizes x shard counts on the sharded
 // conservative-sync engine (bench/sharded_rack.h), reporting wall-clock
 // events/sec alongside the deterministic critical-path speedup, with a
-// parity check that delivered work is invariant across shard counts.
+// parity check that delivered work is invariant across shard counts; a
+// parity failure makes the run exit non-zero.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -662,7 +663,8 @@ int Main(int argc, char** argv) {
     std::fclose(f);
     std::printf("  wrote %s\n", json_path.c_str());
   }
-  return 0;
+  // After the JSON is written, so the failing run's numbers are on disk.
+  return scaling_parity_ok ? 0 : 1;
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
-// All-to-all RPC rack assembly for Figures 6(b)-(d) and 7: N machines,
+// The all-to-all RPC rack workload of Figures 6(b)-(d) and 7: N machines,
 // `jobs_per_host` background jobs per machine exchanging 1MB RPCs at a
 // Poisson rate, plus one tiny-RPC latency prober per machine.
+// PonyRpcRackWorkload wires the Pony version once over any list of
+// SimHosts, so the serial Rack (RunPonyRpcRack, below), the sharded rack
+// (bench/sharded_rack.h) and the antagonist rack of Fig. 6(d) all run the
+// same jobs, seeds and probers; RunTcpRpcRack is the kernel-TCP baseline.
 #ifndef BENCH_RPC_RACK_H_
 #define BENCH_RPC_RACK_H_
 
@@ -51,19 +55,125 @@ struct RpcRackResult {
   std::string telemetry_dashboard;
 };
 
-// Runs the rack over Pony Express engines.
-inline RpcRackResult RunPonyRpcRack(const RpcRackConfig& config,
-                                    SimDuration warmup, SimDuration window) {
-  Rack rack(config.seed, config.hosts, config.host_options,
-            config.queue_kind, config.nic_params);
-  if (config.tracer != nullptr) {
-    rack.sim().set_tracer(config.tracer);
-  }
-  double per_job_rate =
-      config.offered_gbps_per_host * 1e9 /
-      (8.0 * static_cast<double>(config.response_bytes) *
-       config.jobs_per_host);
+// Per-job Poisson rate that offers `offered_gbps_per_host` of 1MB RPCs.
+inline double PerJobRpcRate(const RpcRackConfig& config) {
+  return config.offered_gbps_per_host * 1e9 /
+         (8.0 * static_cast<double>(config.response_bytes) *
+          config.jobs_per_host);
+}
 
+// The rack's Pony RPC workload over `hosts` (indexed by global host id).
+// Construction creates and starts everything: job engines and their
+// clients, prober engines and tasks, then the job server and client
+// tasks, then the probers. The caller warms up, calls StartWindow(), runs
+// the window, and reads the window with Collect().
+class PonyRpcRackWorkload {
+ public:
+  PonyRpcRackWorkload(const RpcRackConfig& config,
+                      const std::vector<SimHost*>& hosts)
+      : config_(config), cpu_(hosts) {
+    SNAP_CHECK_EQ(static_cast<int>(hosts.size()), config_.hosts);
+    // Each job gets its own exclusive engine (Section 3.1); the engine's
+    // default sink is the server-role channel (incoming requests), while
+    // responses ride streams bound to the client-role channel.
+    std::vector<PonyAddress> all_addresses;
+    for (int h = 0; h < config_.hosts; ++h) {
+      for (int j = 0; j < config_.jobs_per_host; ++j) {
+        Job job;
+        job.engine = hosts[h]->CreatePonyEngine(
+            "job" + std::to_string(h) + "_" + std::to_string(j));
+        job.client_side = hosts[h]->CreateClient(job.engine, "cli");
+        job.server_side = hosts[h]->CreateClient(job.engine, "srv");
+        job.engine->SetDefaultSink(job.server_side.get());
+        all_addresses.push_back(job.engine->address());
+        jobs_.push_back(std::move(job));
+      }
+    }
+    // Prober engines (tiny RPCs to random jobs on other hosts).
+    for (int h = 0; h < config_.hosts; ++h) {
+      PonyEngine* pe =
+          hosts[h]->CreatePonyEngine("prober" + std::to_string(h));
+      prober_clients_.push_back(hosts[h]->CreateClient(pe, "prober"));
+      PonyRpcClientTask::Options po;
+      po.rpcs_per_sec = config_.prober_qps;
+      po.request_bytes = 64;
+      po.response_bytes = 64;
+      po.spin = config_.prober_spins;
+      po.rng_seed = config_.seed + 1000 + h;
+      for (const PonyAddress& addr : all_addresses) {
+        if (addr.host != h) {
+          po.peers.push_back(addr);
+        }
+      }
+      probers_.push_back(std::make_unique<PonyRpcClientTask>(
+          "prober" + std::to_string(h), hosts[h]->cpu(),
+          prober_clients_.back().get(), po));
+    }
+    // Background tasks.
+    const double per_job_rate = PerJobRpcRate(config_);
+    size_t index = 0;
+    for (int h = 0; h < config_.hosts; ++h) {
+      for (int j = 0; j < config_.jobs_per_host; ++j, ++index) {
+        Job& job = jobs_[index];
+        job.server_task = std::make_unique<PonyRpcServerTask>(
+            "rpc_srv", hosts[h]->cpu(), job.server_side.get());
+        job.server_task->Start();
+        PonyRpcClientTask::Options co;
+        co.rpcs_per_sec = per_job_rate;
+        co.request_bytes = 64;
+        co.response_bytes = config_.response_bytes;
+        co.rng_seed = config_.seed + h * 100 + j;
+        for (const PonyAddress& addr : all_addresses) {
+          if (addr == job.engine->address()) {
+            continue;
+          }
+          if (config_.cluster_hosts > 0 &&
+              addr.host / config_.cluster_hosts != h / config_.cluster_hosts) {
+            continue;  // bulk traffic stays cluster-local
+          }
+          co.peers.push_back(addr);
+        }
+        job.client_task = std::make_unique<PonyRpcClientTask>(
+            "rpc_cli", hosts[h]->cpu(), job.client_side.get(), co);
+        job.client_task->Start();
+      }
+    }
+    for (auto& p : probers_) {
+      p->Start();
+    }
+  }
+
+  // Opens the measurement window: clears task stats, snapshots CPU.
+  void StartWindow() {
+    for (Job& job : jobs_) {
+      job.client_task->ResetStats();
+    }
+    for (auto& p : probers_) {
+      p->ResetStats();
+    }
+    cpu_.Start();
+  }
+
+  // Fills the workload fields of `result` for a window of `window` that
+  // ended just now.
+  void Collect(SimDuration window, RpcRackResult* result) const {
+    result->cpu_per_machine = cpu_.MeanCores(window);
+    int64_t bytes = 0;
+    for (const Job& job : jobs_) {
+      bytes += job.client_task->bytes_transferred();
+      result->background_rpcs += job.client_task->rpcs_completed();
+    }
+    // Bidirectional per machine: requests counted at initiators, responses
+    // at initiators; servers see the mirror image, so per-machine
+    // bidirectional traffic is 2x the initiator view divided across hosts.
+    result->gbps_per_machine = static_cast<double>(bytes) * 2.0 * 8.0 /
+                               ToSec(window) / 1e9 / config_.hosts;
+    for (const auto& p : probers_) {
+      result->prober_latency.Merge(p->latency());
+    }
+  }
+
+ private:
   struct Job {
     PonyEngine* engine;
     std::unique_ptr<PonyClient> client_side;
@@ -71,107 +181,28 @@ inline RpcRackResult RunPonyRpcRack(const RpcRackConfig& config,
     std::unique_ptr<PonyRpcClientTask> client_task;
     std::unique_ptr<PonyRpcServerTask> server_task;
   };
-  std::vector<std::vector<Job>> jobs(config.hosts);
-  std::vector<PonyAddress> all_addresses;
 
-  // Each job gets its own exclusive engine (Section 3.1); the engine's
-  // default sink is the server-role channel (incoming requests), while
-  // responses ride streams bound to the client-role channel.
-  for (int h = 0; h < config.hosts; ++h) {
-    for (int j = 0; j < config.jobs_per_host; ++j) {
-      Job job;
-      job.engine = rack.host(h)->CreatePonyEngine(
-          "job" + std::to_string(h) + "_" + std::to_string(j));
-      job.client_side = rack.host(h)->CreateClient(job.engine, "cli");
-      job.server_side = rack.host(h)->CreateClient(job.engine, "srv");
-      job.engine->SetDefaultSink(job.server_side.get());
-      all_addresses.push_back(job.engine->address());
-      jobs[h].push_back(std::move(job));
-    }
-  }
-  // Prober engines (tiny RPCs to random jobs).
-  std::vector<std::unique_ptr<PonyClient>> prober_clients;
-  std::vector<std::unique_ptr<PonyRpcClientTask>> probers;
-  for (int h = 0; h < config.hosts; ++h) {
-    PonyEngine* pe = rack.host(h)->CreatePonyEngine(
-        "prober" + std::to_string(h));
-    prober_clients.push_back(rack.host(h)->CreateClient(pe, "prober"));
-    PonyRpcClientTask::Options po;
-    po.rpcs_per_sec = config.prober_qps;
-    po.request_bytes = 64;
-    po.response_bytes = 64;
-    po.spin = config.prober_spins;
-    po.rng_seed = config.seed + 1000 + h;
-    for (const PonyAddress& addr : all_addresses) {
-      if (addr.host != h) {
-        po.peers.push_back(addr);
-      }
-    }
-    probers.push_back(std::make_unique<PonyRpcClientTask>(
-        "prober" + std::to_string(h), rack.host(h)->cpu(),
-        prober_clients.back().get(), po));
-  }
-  // Background tasks.
-  for (int h = 0; h < config.hosts; ++h) {
-    for (int j = 0; j < config.jobs_per_host; ++j) {
-      Job& job = jobs[h][j];
-      job.server_task = std::make_unique<PonyRpcServerTask>(
-          "rpc_srv", rack.host(h)->cpu(), job.server_side.get());
-      job.server_task->Start();
-      PonyRpcClientTask::Options co;
-      co.rpcs_per_sec = per_job_rate;
-      co.request_bytes = 64;
-      co.response_bytes = config.response_bytes;
-      co.rng_seed = config.seed + h * 100 + j;
-      for (const PonyAddress& addr : all_addresses) {
-        if (addr == job.engine->address()) {
-          continue;
-        }
-        if (config.cluster_hosts > 0 &&
-            addr.host / config.cluster_hosts != h / config.cluster_hosts) {
-          continue;  // bulk traffic stays cluster-local
-        }
-        co.peers.push_back(addr);
-      }
-      job.client_task = std::make_unique<PonyRpcClientTask>(
-          "rpc_cli", rack.host(h)->cpu(), job.client_side.get(), co);
-      job.client_task->Start();
-    }
-  }
-  for (auto& p : probers) {
-    p->Start();
-  }
+  RpcRackConfig config_;
+  CpuWindow cpu_;
+  std::vector<Job> jobs_;  // host-major: jobs_[h * jobs_per_host + j]
+  std::vector<std::unique_ptr<PonyClient>> prober_clients_;
+  std::vector<std::unique_ptr<PonyRpcClientTask>> probers_;
+};
 
+// Runs the Pony workload on a serial Rack.
+inline RpcRackResult RunPonyRpcRack(const RpcRackConfig& config,
+                                    SimDuration warmup, SimDuration window) {
+  Rack rack(config.seed, config.hosts, config.host_options,
+            config.queue_kind, config.nic_params);
+  if (config.tracer != nullptr) {
+    rack.sim().set_tracer(config.tracer);
+  }
+  PonyRpcRackWorkload workload(config, rack.hosts());
   rack.sim().RunFor(warmup);
-  for (auto& per_host : jobs) {
-    for (auto& job : per_host) {
-      job.client_task->ResetStats();
-    }
-  }
-  for (auto& p : probers) {
-    p->ResetStats();
-  }
-  CpuSnapshot cpu0 = CpuSnapshot::Take(rack);
+  workload.StartWindow();
   rack.sim().RunFor(window);
-  CpuSnapshot cpu1 = CpuSnapshot::Take(rack);
-
   RpcRackResult result;
-  result.cpu_per_machine = CpuSnapshot::MeanCores(cpu0, cpu1, window);
-  int64_t bytes = 0;
-  for (auto& per_host : jobs) {
-    for (auto& job : per_host) {
-      bytes += job.client_task->bytes_transferred();
-      result.background_rpcs += job.client_task->rpcs_completed();
-    }
-  }
-  // Bidirectional per machine: requests counted at initiators, responses
-  // at initiators; servers see the mirror image, so per-machine
-  // bidirectional traffic is 2x the initiator view divided across hosts.
-  result.gbps_per_machine = static_cast<double>(bytes) * 2.0 * 8.0 /
-                            ToSec(window) / 1e9 / config.hosts;
-  for (auto& p : probers) {
-    result.prober_latency.Merge(p->latency());
-  }
+  workload.Collect(window, &result);
   result.sim_events = rack.sim().event_queue().stats().fired;
   result.fabric_packets = rack.fabric().stats().delivered;
   result.sim_end_time = rack.sim().now();
@@ -188,10 +219,7 @@ inline RpcRackResult RunTcpRpcRack(const RpcRackConfig& config,
                                    SimDuration warmup, SimDuration window) {
   Rack rack(config.seed, config.hosts, config.host_options,
             config.queue_kind, config.nic_params);
-  double per_job_rate =
-      config.offered_gbps_per_host * 1e9 /
-      (8.0 * static_cast<double>(config.response_bytes) *
-       config.jobs_per_host);
+  const double per_job_rate = PerJobRpcRate(config);
   auto ctx = std::make_unique<TcpRpcContext>();
 
   std::vector<std::unique_ptr<TcpRpcServerTask>> servers;
@@ -261,12 +289,12 @@ inline RpcRackResult RunTcpRpcRack(const RpcRackConfig& config,
   for (auto& p : probers) {
     p->ResetStats();
   }
-  CpuSnapshot cpu0 = CpuSnapshot::Take(rack);
+  CpuWindow cpu(rack.hosts());
+  cpu.Start();
   rack.sim().RunFor(window);
-  CpuSnapshot cpu1 = CpuSnapshot::Take(rack);
 
   RpcRackResult result;
-  result.cpu_per_machine = CpuSnapshot::MeanCores(cpu0, cpu1, window);
+  result.cpu_per_machine = cpu.MeanCores(window);
   int64_t bytes = 0;
   for (auto& c : clients) {
     bytes += c->bytes_transferred();

@@ -31,7 +31,8 @@
 // arrivals by the same canonical key at delivery, so tie order is
 // identical no matter how hosts are placed or how many shards exist; this
 // is what makes trace digests invariant across shard counts and
-// placements, and equal to the serial engine's (docs/PARALLEL.md).
+// placements. They equal the serial engine's on the seed sweep, not in
+// general (docs/PARALLEL.md section 5).
 //
 // Lookahead. The group derives ShardedSim's per-pair lookahead matrix from
 // the topology: L(s, d) = propagation_delay if shards s and d own hosts in

@@ -330,10 +330,10 @@ void PonyEngine::HandleRxPacket(PacketPtr packet, SimTime now,
   }
   *cost += rx_cost;
   // End-to-end CRC verification (offloaded on real NICs; Section 3.4).
-  // Every packet built by a Flow carries a CRC over header + payload;
-  // crc32 == 0 marks hand-built test packets that opted out.
-  if (packet->pony.crc32 != 0 &&
-      !VerifyPonyPacketCrc(packet->pony, packet->data)) {
+  // Every packet built by a Flow carries a CRC over header + payload, and
+  // every frame is checked: a live peer can put any value, 0 included, in
+  // crc32.
+  if (!VerifyPonyPacketCrc(packet->pony, packet->data)) {
     ++stats_.crc_drops;
     return;
   }

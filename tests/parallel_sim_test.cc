@@ -7,6 +7,9 @@
 //    over a full chaos workload split across shards;
 //  - shard-count-invariant results: final telemetry snapshots, delivered
 //    counts and trace digests do not depend on how hosts are placed;
+//  - the Pony RPC rack workload's results (packets, RPCs, prober
+//    latencies, Gbps and CPU per machine) do not depend on shard count or
+//    placement;
 //  - threaded execution is bit-identical to sequential shard execution
 //    (the property that makes the TSan matrix meaningful: same results,
 //    real data races surface as tool errors, not flaky outputs).
@@ -390,6 +393,56 @@ TEST(ShardedSimTest, MergedTelemetryInvariantUnderTrafficAwarePlacement) {
   EXPECT_EQ(serial, round_robin);
   EXPECT_EQ(serial, aware_values);
   EXPECT_EQ(serial, contiguous_values);
+}
+
+// The Pony RPC rack workload itself (1MB-style bulk jobs + probers, the
+// Fig. 6(b) shape shrunk to a few milliseconds) delivers identical results
+// at 1, 2 and 4 shards under round-robin and traffic-aware placement:
+// every RpcRackResult figure the paper benches print is placement-blind.
+TEST(ShardedSimTest, PonyRpcRackResultsInvariantAcrossShardCounts) {
+  RpcRackConfig config;
+  config.hosts = 8;
+  config.jobs_per_host = 2;
+  config.offered_gbps_per_host = 4.0;
+  config.response_bytes = 128 * 1024;
+  config.prober_qps = 2000.0;
+  config.cluster_hosts = 4;
+  config.nic_params.hosts_per_cluster = 4;
+  config.nic_params.inter_cluster_extra_delay = 2 * kUsec;
+  config.seed = 11;
+  config.host_options.group.mode = SchedulingMode::kSpreadingEngines;
+  config.host_options.cpu.num_cores = 4;
+  const TrafficMatrix traffic = BuildRackTrafficMatrix(config);
+
+  auto run = [&](int shards, bool traffic_aware) {
+    Placement placement = Placement::TrafficAware(traffic, shards);
+    return RunPonyRpcRackSharded(config, shards, /*num_threads=*/0,
+                                 /*warmup=*/1 * kMsec, /*window=*/8 * kMsec,
+                                 traffic_aware ? &placement : nullptr);
+  };
+  const ShardedRackResult base = run(1, false);
+  EXPECT_GT(base.rack.fabric_packets, 0);
+  EXPECT_GT(base.rack.background_rpcs, 0);
+  EXPECT_GT(base.rack.prober_latency.count(), 0);
+  EXPECT_GT(base.rack.gbps_per_machine, 0);
+  EXPECT_GT(base.rack.cpu_per_machine, 0);
+  for (int shards : {1, 2, 4}) {
+    for (bool traffic_aware : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << shards << " shards, "
+                                        << (traffic_aware ? "traffic-aware"
+                                                          : "round-robin"));
+      const ShardedRackResult r = run(shards, traffic_aware);
+      EXPECT_EQ(r.rack.fabric_packets, base.rack.fabric_packets);
+      EXPECT_EQ(r.rack.background_rpcs, base.rack.background_rpcs);
+      EXPECT_EQ(r.rack.prober_latency.ToJson(),
+                base.rack.prober_latency.ToJson());
+      EXPECT_EQ(r.rack.gbps_per_machine, base.rack.gbps_per_machine);
+      EXPECT_EQ(r.rack.cpu_per_machine, base.rack.cpu_per_machine);
+      if (shards > 1) {
+        EXPECT_GT(r.exchange_cross_shard, 0);  // the split is real
+      }
+    }
+  }
 }
 
 // The profiler is pure observation: arming it must not change the

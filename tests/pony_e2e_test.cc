@@ -4,6 +4,7 @@
 
 #include "src/apps/pony_apps.h"
 #include "src/apps/simhost.h"
+#include "src/packet/wire.h"
 
 namespace snap {
 namespace {
@@ -106,6 +107,46 @@ TEST_F(PonyE2eTest, PingPongLatencyIsMicroseconds) {
   // Same-rack two-sided RTT: should land well under 100us and above 2us.
   EXPECT_LT(ping.latency().Mean(), 100 * kUsec);
   EXPECT_GT(ping.latency().Mean(), 2 * kUsec);
+}
+
+// A zero CRC is not an opt-out: any sender (a live UDP peer included) can
+// put crc32 = 0 on the wire, so the engine verifies every frame. A data
+// frame with crc32 = 0 and a payload altered after the CRC was computed
+// must be dropped and counted, never delivered.
+TEST_F(PonyE2eTest, ZeroCrcFrameIsVerifiedAndDropped) {
+  SimHost a(sim_.get(), fabric_.get(), directory_.get(), DedicatedOptions());
+  SimHost b(sim_.get(), fabric_.get(), directory_.get(), DedicatedOptions());
+  PonyEngine* ea = a.CreatePonyEngine("ea");
+  PonyEngine* eb = b.CreatePonyEngine("eb");
+  auto cb = b.CreateClient(eb, "appB");
+  eb->SetDefaultSink(cb.get());
+
+  auto p = std::make_unique<Packet>();
+  p->src_host = a.host_id();
+  p->dst_host = b.host_id();
+  p->steering_hash = eb->address().engine_id;
+  p->proto = WireProtocol::kPony;
+  p->pony.version = kPonyWireVersionMin;
+  p->pony.flow_id = ea->address().engine_id;
+  p->pony.seq = 1;
+  p->pony.type = PonyPacketType::kData;
+  p->pony.stream_id = 1;
+  p->pony.msg_length = 8;
+  p->data = {1, 2, 3, 4, 5, 6, 7, 8};
+  p->payload_bytes = 8;
+  p->wire_bytes = 8 + 64;
+  p->data[3] ^= 0xff;  // tampered in flight
+  // The zero CRC does not match what arrives.
+  ASSERT_NE(PonyPacketCrc(p->pony, p->data), 0u);
+  b.nic()->DeliverFromWire(std::move(p));
+
+  sim_->RunFor(1 * kMsec);
+
+  EXPECT_EQ(eb->stats().rx_packets, 1);
+  EXPECT_EQ(eb->stats().crc_drops, 1);
+  EXPECT_EQ(eb->stats().messages_delivered, 0);
+  CpuCostSink cost;
+  EXPECT_FALSE(cb->PollMessage(&cost).has_value());
 }
 
 TEST_F(PonyE2eTest, MessagesSurviveRandomPacketLoss) {
