@@ -18,8 +18,9 @@
 // The rack_scaling case sweeps rack sizes x shard counts on the sharded
 // conservative-sync engine (bench/sharded_rack.h), reporting wall-clock
 // events/sec alongside the deterministic critical-path speedup, with a
-// parity check that delivered work is invariant across shard counts; a
-// parity failure makes the run exit non-zero.
+// parity check that packets, RPCs, events and handoffs are invariant
+// across shard counts and that every handoff is counted exactly once as
+// local or cross-shard; a parity failure makes the run exit non-zero.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -52,6 +53,15 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
+// The nothrow forms (std::stable_sort's temporary buffer) must come from
+// malloc too, or the free() below would release another allocator's block.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -440,24 +450,36 @@ int Main(int argc, char** argv) {
         sc_warmup = hosts > 96 ? 1 * kMsec : (hosts > 6 ? 2 * kMsec : 5 * kMsec);
         sc_window = hosts > 96 ? 4 * kMsec : (hosts > 6 ? 8 * kMsec : 20 * kMsec);
       }
-      int64_t first_packets = -1;
-      int64_t first_rpcs = -1;
+      ScalingPoint first;
       double serial_wall = 0;
       for (int shards : shard_counts) {
         ScalingPoint p = MeasureShardedRack(hosts, shards, sc_warmup,
                                             sc_window);
-        if (first_packets < 0) {
-          first_packets = p.m.packets;
-          first_rpcs = p.rpcs;
+        if (shards == shard_counts.front()) {
+          first = p;
           serial_wall = p.m.wall_sec;
-        } else if (p.m.packets != first_packets || p.rpcs != first_rpcs) {
+        }
+        // Simulated work is invariant across shard counts, and every
+        // routed packet is either delivered locally or handed across
+        // shards: an exchange that drops or duplicates a handoff fails
+        // one of these.
+        if (p.m.packets != first.m.packets || p.rpcs != first.rpcs ||
+            p.m.events != first.m.events || p.handoffs != first.handoffs ||
+            p.local_direct + p.cross_shard != p.handoffs) {
           scaling_parity_ok = false;
           std::printf("  PARITY FAIL: %d hosts, %d shards: packets %lld vs "
-                      "%lld, rpcs %lld vs %lld\n",
+                      "%lld, rpcs %lld vs %lld, events %lld vs %lld, "
+                      "handoffs %lld vs %lld (%lld local + %lld cross)\n",
                       hosts, shards, static_cast<long long>(p.m.packets),
-                      static_cast<long long>(first_packets),
+                      static_cast<long long>(first.m.packets),
                       static_cast<long long>(p.rpcs),
-                      static_cast<long long>(first_rpcs));
+                      static_cast<long long>(first.rpcs),
+                      static_cast<long long>(p.m.events),
+                      static_cast<long long>(first.m.events),
+                      static_cast<long long>(p.handoffs),
+                      static_cast<long long>(first.handoffs),
+                      static_cast<long long>(p.local_direct),
+                      static_cast<long long>(p.cross_shard));
         }
         p.speedup_wall =
             p.m.wall_sec > 0 ? serial_wall / p.m.wall_sec : 0;
@@ -488,8 +510,8 @@ int Main(int argc, char** argv) {
                     hw_cores, shard_counts.back());
       }
     }
-    std::printf("  rack scaling parity (packets+rpcs invariant across "
-                "shard counts): %s\n",
+    std::printf("  rack scaling parity (packets+rpcs+events+handoffs "
+                "invariant across shard counts): %s\n",
                 scaling_parity_ok ? "OK" : "FAILED");
 
     // Profiler overhead: the largest sweep point re-run with the engine

@@ -435,6 +435,14 @@ int UdpFabric::DrainTo(int dst_host) {
       dropped_decode_[dst_host]->fetch_add(1, std::memory_order_relaxed);
       continue;
     }
+    // A decodable frame is still untrusted: it must be addressed to this
+    // socket's host and claim a source inside the rack.
+    const Packet& header = **decoded;
+    if (header.dst_host != dst_host || header.src_host < 0 ||
+        header.src_host >= num_hosts_) {
+      dropped_bad_address_.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
     nic->DeliverFromWire(std::move(*decoded));
     ++delivered;
   }

@@ -111,10 +111,10 @@ class UdpFabric : public PacketEgress {
 
   struct Stats {
     int64_t delivered = 0;
-    int64_t dropped_send = 0;    // sendto failed (buffer full etc.)
-    int64_t dropped_decode = 0;  // undecodable / stray datagram
-    int64_t dropped_bad_address = 0;
-    int64_t control_frames = 0;  // rendezvous traffic (both directions)
+    int64_t dropped_send = 0;         // sendto failed (buffer full etc.)
+    int64_t dropped_decode = 0;       // undecodable / stray datagram
+    int64_t dropped_bad_address = 0;  // src/dst invalid or not this host
+    int64_t control_frames = 0;       // rendezvous traffic (both ways)
   };
   Stats GetStats() const;
 

@@ -1,19 +1,12 @@
 #include "src/net/shard_net.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "src/util/logging.h"
 
 namespace snap {
-
-namespace {
-// Ring capacity per directed shard pair, in batches (so
-// kChannelBatches * kHandoffBatchSize packets). Sized for a burst of one
-// epoch's traffic between two shards; overflow degrades to the spill
-// vector, not to loss.
-constexpr size_t kChannelBatches = 64;
-}  // namespace
 
 ShardedFabricGroup::ShardedFabricGroup(ShardedSim* sharded,
                                        const NicParams& params)
@@ -31,10 +24,6 @@ ShardedFabricGroup::ShardedFabricGroup(ShardedSim* sharded,
     fabric->set_arrival_time_mode(true);
     fabrics_.push_back(std::move(fabric));
   }
-  channels_.reserve(static_cast<size_t>(n) * n);
-  for (int i = 0; i < n * n; ++i) {
-    channels_.push_back(std::make_unique<Channel>(kChannelBatches));
-  }
   per_source_.resize(n);
   sharded_->AddBarrierHook([this] { Exchange(); });
 }
@@ -46,24 +35,11 @@ ShardedFabricGroup::~ShardedFabricGroup() {
     for (int d = 0; d < num_shards(); ++d) {
       Telemetry& t = sharded_->sim(d)->telemetry();
       const std::string base = "net/shard/" + std::to_string(d);
-      t.UnregisterGauge(base + "/handoff_ring_max_batches");
       t.UnregisterGauge(base + "/handoff_max_inbound");
     }
   }
-  // Reclaim packets still staged (simulation torn down mid-flight).
-  for (auto& ch : channels_) {
-    while (auto b = ch->ring.TryPop()) {
-      for (int i = 0; i < b->count; ++i) delete b->items[i].packet;
-    }
-    for (auto& b : ch->spill) {
-      for (int i = 0; i < b.count; ++i) delete b.items[i].packet;
-    }
-    ch->spill.clear();
-    for (int i = 0; i < ch->staging.count; ++i) {
-      delete ch->staging.items[i].packet;
-    }
-    ch->staging.count = 0;
-  }
+  // Packets still in an outbox (simulation torn down mid-flight) are
+  // owned by their Handoff and freed with it.
 }
 
 void ShardedFabricGroup::OnAddHost(Fabric* adder) {
@@ -122,7 +98,7 @@ void ShardedFabricGroup::RouteFromShard(Fabric* src, PacketPtr packet,
   ++ps.handoffs;
   const uint64_t seq = ps.next_seq++;
   if (s == d) {
-    // Same-shard traffic bypasses rings and barriers entirely: stage it
+    // Same-shard traffic bypasses the outbox and barriers: stage it
     // on our own destination port's sequencer at its exact arrival time.
     // The sequencer orders same-instant ties by the same canonical key
     // the exchange sorts by, so the delivery order matches what a
@@ -135,48 +111,47 @@ void ShardedFabricGroup::RouteFromShard(Fabric* src, PacketPtr packet,
     return;
   }
   ++ps.cross_shard;
-  Channel& ch = channel(s, d);
-  HandoffBatch& batch = ch.staging;
-  batch.items[batch.count++] =
-      Handoff{wire_time, src_host, seq, packet.release()};
-  if (batch.count == kHandoffBatchSize) {
-    if (!ch.ring.TryPush(batch)) {
-      ch.spill.push_back(batch);
-      ++ps.ring_overflow;
-    }
-    batch.count = 0;
-  }
+  ps.outbox.push_back(Handoff{wire_time, src_host, d, seq, std::move(packet)});
 }
 
 void ShardedFabricGroup::Exchange() {
   if (lookahead_dirty_) RefreshPairLookaheads();
-  int n = num_shards();
-  bool moved = false;
-  for (int dst = 0; dst < n; ++dst) {
-    scratch_.clear();
-    for (int src = 0; src < n; ++src) {
-      if (src == dst) continue;  // same-shard traffic never staged here
-      Channel& ch = channel(src, dst);
-      int64_t ring_batches = 0;
-      while (auto b = ch.ring.TryPop()) {
-        ++ring_batches;
-        for (int i = 0; i < b->count; ++i) scratch_.push_back(b->items[i]);
-      }
-      if (profiling_) {
-        max_ring_batches_[dst] =
-            std::max(max_ring_batches_[dst], ring_batches);
-      }
-      for (const HandoffBatch& b : ch.spill) {
-        for (int i = 0; i < b.count; ++i) scratch_.push_back(b.items[i]);
-      }
-      ch.spill.clear();
-      for (int i = 0; i < ch.staging.count; ++i) {
-        scratch_.push_back(ch.staging.items[i]);
-      }
-      ch.staging.count = 0;
-    }
-    if (profiling_ && !scratch_.empty()) {
-      const int64_t inbound = static_cast<int64_t>(scratch_.size());
+  // Every shard is parked at the barrier, so the outboxes are read here
+  // with no synchronization of their own (shard_net.h, "Exchange").
+  scratch_.clear();
+  for (PerSource& ps : per_source_) {
+    std::move(ps.outbox.begin(), ps.outbox.end(),
+              std::back_inserter(scratch_));
+    ps.outbox.clear();
+  }
+  if (scratch_.empty()) return;
+  ++exchanges_;
+  // Grouped by destination, then canonical order: a pure function of the
+  // traffic, independent of the shard layout and of the order the
+  // outboxes were read in. seq ties only arise within one source shard,
+  // where it reproduces emission order. (Same-instant arrival ties are
+  // re-canonicalized by the port sequencer; sorting here keeps the
+  // staging near-ordered so sequencers rarely re-arm.)
+  std::sort(scratch_.begin(), scratch_.end(),
+            [](const Handoff& a, const Handoff& b) {
+              if (a.dst_shard != b.dst_shard) {
+                return a.dst_shard < b.dst_shard;
+              }
+              if (a.wire_time != b.wire_time) {
+                return a.wire_time < b.wire_time;
+              }
+              if (a.src_host != b.src_host) {
+                return a.src_host < b.src_host;
+              }
+              return a.seq < b.seq;
+            });
+  for (auto it = scratch_.begin(); it != scratch_.end();) {
+    const int dst = it->dst_shard;
+    const auto end =
+        std::find_if(it, scratch_.end(),
+                     [dst](const Handoff& h) { return h.dst_shard != dst; });
+    if (profiling_) {
+      const int64_t inbound = end - it;
       prof_inbound_[dst]->Add(inbound);
       max_inbound_[dst] = std::max(max_inbound_[dst], inbound);
       if (sharded_->tracing_enabled()) {
@@ -188,34 +163,15 @@ void ShardedFabricGroup::Exchange() {
             "handoff/inbound", inbound);
       }
     }
-    if (scratch_.empty()) continue;
-    moved = true;
-    // Canonical order: a pure function of the traffic, independent of the
-    // shard layout. seq ties only arise within one source shard, where it
-    // reproduces emission order. (Same-instant arrival ties are
-    // re-canonicalized by the port sequencer; sorting here keeps the
-    // staging near-ordered so sequencers rarely re-arm.)
-    std::sort(scratch_.begin(), scratch_.end(),
-              [](const Handoff& a, const Handoff& b) {
-                if (a.wire_time != b.wire_time) {
-                  return a.wire_time < b.wire_time;
-                }
-                if (a.src_host != b.src_host) {
-                  return a.src_host < b.src_host;
-                }
-                return a.seq < b.seq;
-              });
     Fabric* dfab = fabrics_[dst].get();
-    for (Handoff& h : scratch_) {
-      PacketPtr p(h.packet);
-      h.packet = nullptr;
-      SimTime arrival =
-          h.wire_time + params_.propagation_between(h.src_host, p->dst_host);
-      dfab->StageArrival(std::move(p), arrival, h.wire_time, h.src_host,
-                         h.seq);
+    for (; it != end; ++it) {
+      SimTime arrival = it->wire_time + params_.propagation_between(
+                                            it->src_host,
+                                            it->packet->dst_host);
+      dfab->StageArrival(std::move(it->packet), arrival, it->wire_time,
+                         it->src_host, it->seq);
     }
   }
-  if (moved) ++exchanges_;
 }
 
 Fabric::Stats ShardedFabricGroup::AggregateStats() const {
@@ -237,12 +193,8 @@ ShardedFabricGroup::ExchangeStats ShardedFabricGroup::exchange_stats() const {
     out.handoffs += ps.handoffs;
     out.local_direct += ps.local_direct;
     out.cross_shard += ps.cross_shard;
-    out.ring_overflow += ps.ring_overflow;
   }
   out.exchanges = exchanges_;
-  for (int64_t v : max_ring_batches_) {
-    out.max_ring_batches = std::max(out.max_ring_batches, v);
-  }
   for (int64_t v : max_inbound_) {
     out.max_inbound_handoffs = std::max(out.max_inbound_handoffs, v);
   }
@@ -254,14 +206,11 @@ void ShardedFabricGroup::EnableProfiling() {
   profiling_ = true;
   const int n = num_shards();
   prof_inbound_.resize(n);
-  max_ring_batches_.assign(n, 0);
   max_inbound_.assign(n, 0);
   for (int d = 0; d < n; ++d) {
     Telemetry& t = sharded_->sim(d)->telemetry();
     const std::string base = "net/shard/" + std::to_string(d);
     prof_inbound_[d] = t.GetCounter(base + "/handoff_in");
-    t.RegisterGauge(base + "/handoff_ring_max_batches",
-                    [this, d]() -> int64_t { return max_ring_batches_[d]; });
     t.RegisterGauge(base + "/handoff_max_inbound",
                     [this, d]() -> int64_t { return max_inbound_[d]; });
   }

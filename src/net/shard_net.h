@@ -1,6 +1,6 @@
 // Shard-aware fabric: one Fabric per ShardedSim shard, cross-shard packet
-// hand-off in fixed-size batches over the model-checked SpscRing, canonical
-// arrival ordering via the per-port sequencer.
+// hand-off through one outbox per source shard, canonical arrival ordering
+// via the per-port sequencer.
 //
 // Topology. Host ids are global: every AddHost() on any shard's fabric
 // reserves the same id on every other shard (placeholder port, nullptr
@@ -8,31 +8,30 @@
 // shard's Fabric routes every wire departure to this group's
 // RouteFromShard. Same-shard traffic is delivered eagerly: it is staged
 // straight onto the destination port's arrival sequencer
-// (Fabric::StageArrival) at its exact arrival time, never touching a ring
-// or a barrier — which both removes it from the exchange entirely and
-// frees the conservative horizon from the intra-shard propagation delay
-// (ShardedSim's per-destination horizon skips the diagonal).
+// (Fabric::StageArrival) at its exact arrival time, never touching an
+// outbox or a barrier — which both removes it from the exchange entirely
+// and frees the conservative horizon from the intra-shard propagation
+// delay (ShardedSim's per-destination horizon skips the diagonal).
 //
-// Exchange. Cross-shard departures accumulate in a per-(src,dst)-channel
-// staging batch (kHandoffBatchSize handoffs); full batches go through the
-// SPSC ring — one push per batch instead of per packet — produced by the
-// shard thread during the epoch and consumed by the coordinator at the
-// barrier. A full ring spills whole batches to a source-owned vector, and
-// the coordinator also reads the final partial staging batch directly (the
-// epoch barriers provide the happens-before in both directions), so
-// per-channel order is ring, then spill, then staging = exact emission
-// order. At each barrier the coordinator drains every destination's
-// inbound channels, sorts by the canonical key (wire_time, src_host, seq)
-// — seq is a per-source-shard staging counter, so equal (wire_time,
-// src_host) ties reproduce the source's emission order and the key is a
-// pure function of the simulated traffic — and stages each handoff on the
-// destination fabric's arrival sequencer at wire_time + propagation
-// between the two hosts. The sequencer re-sorts same-(port, instant)
-// arrivals by the same canonical key at delivery, so tie order is
-// identical no matter how hosts are placed or how many shards exist; this
-// is what makes trace digests invariant across shard counts and
-// placements. They equal the serial engine's on the seed sweep, not in
-// general (docs/PARALLEL.md section 5).
+// Exchange. Cross-shard departures are appended to the source shard's
+// outbox, a plain vector only that shard's thread touches during the
+// epoch. The coordinator reads the outboxes only at the epoch barrier,
+// while every shard is parked: the barrier orders every append before
+// the coordinator's read, and the coordinator's clear before the shard
+// resumes, so no atomics are needed — nothing is ever read while it is
+// written. At each barrier the coordinator takes every outbox, sorts the
+// handoffs by destination shard and then by the canonical key (wire_time,
+// src_host, seq) — seq is a per-source-shard counter and each src_host
+// lives on one shard, so the key is unique and a pure function of the
+// simulated traffic, and the order the outboxes were read in cannot
+// change the result — and stages each handoff on the destination
+// fabric's arrival sequencer at wire_time + propagation between the two
+// hosts. The sequencer re-sorts same-(port, instant) arrivals by the same
+// canonical key at delivery, so tie order is identical no matter how
+// hosts are placed or how many shards exist; this is what makes trace
+// digests invariant across shard counts and placements. They equal the
+// serial engine's on the seed sweep, not in general (docs/PARALLEL.md
+// section 5).
 //
 // Lookahead. The group derives ShardedSim's per-pair lookahead matrix from
 // the topology: L(s, d) = propagation_delay if shards s and d own hosts in
@@ -59,7 +58,6 @@
 #include <vector>
 
 #include "src/net/fabric.h"
-#include "src/queue/spsc_ring.h"
 #include "src/sim/model_params.h"
 #include "src/sim/sharded_sim.h"
 
@@ -93,76 +91,44 @@ class ShardedFabricGroup : public ShardRouter {
     int64_t handoffs = 0;      // packets routed through the group
     int64_t local_direct = 0;  // same-shard, delivered eagerly (no barrier)
     int64_t cross_shard = 0;   // staged toward a different shard
-    int64_t ring_overflow = 0;  // batches spilled (ring full)
-    int64_t exchanges = 0;      // barrier exchanges that moved packets
-    // Profiling only (0 otherwise): deepest single-channel ring drain and
-    // largest per-destination inbound handoff burst seen at any barrier.
-    int64_t max_ring_batches = 0;
+    int64_t exchanges = 0;     // barrier exchanges that moved packets
+    // Profiling only (0 otherwise): largest per-destination inbound
+    // handoff burst seen at any barrier.
     int64_t max_inbound_handoffs = 0;
   };
   ExchangeStats exchange_stats() const;
 
   // Arms deterministic handoff-depth instrumentation: per-destination
-  // inbound-handoff counters and ring-occupancy gauges in each shard's
+  // inbound-handoff counters and max-inbound gauges in each shard's
   // Telemetry registry (net/shard/<d>/...), plus kProfilerTrack counter
   // events in per-shard traces when tracing is on. Counts only — no wall
   // clock — so output stays deterministic per seed; off by default so
   // digests are unchanged from pre-profiler builds. Call before Run*.
   void EnableProfiling();
 
-  // Cross-shard handoffs per batch pushed through a ring.
-  static constexpr int kHandoffBatchSize = 16;
-
  private:
-  // One staged packet. The pointer is released from its unique_ptr so the
-  // Handoff is trivially copyable through the ring; ownership transfers to
-  // the destination port's sequencer at exchange (or back to
-  // ~ShardedFabricGroup).
+  // One cross-shard packet waiting in its source shard's outbox.
   struct Handoff {
     SimTime wire_time = 0;
     int src_host = -1;
+    int dst_shard = -1;
     uint64_t seq = 0;
-    Packet* packet = nullptr;
-  };
-
-  struct HandoffBatch {
-    int32_t count = 0;
-    Handoff items[kHandoffBatchSize];
-  };
-
-  // Directed (src shard -> dst shard) channel. The ring is SPSC: the
-  // source shard's thread produces full batches during the epoch, the
-  // coordinator consumes at the barrier. Overflow spills whole batches to
-  // a source-owned vector; once the ring fills it stays full until the
-  // barrier, so every spilled batch was staged after every ringed one and
-  // per-channel FIFO order survives (the canonical sort re-establishes
-  // total order anyway). `staging` is the producer's partial batch; the
-  // coordinator reads and resets it at the barrier, which is race-free for
-  // the same reason the spill vector is (the epoch barriers order every
-  // producer write before the coordinator's read, and the reset before the
-  // producer resumes).
-  struct Channel {
-    explicit Channel(size_t capacity) : ring(capacity) {}
-    SpscRing<HandoffBatch> ring;
-    std::vector<HandoffBatch> spill;
-    HandoffBatch staging;
+    PacketPtr packet;
   };
 
   // Per-source-shard mutable state, cache-line separated so shard threads
-  // never share a line.
+  // never share a line. Only the source shard's thread touches it during
+  // an epoch; the coordinator drains the outbox at the barrier.
   struct alignas(64) PerSource {
     uint64_t next_seq = 0;
     int64_t handoffs = 0;
     int64_t local_direct = 0;
     int64_t cross_shard = 0;
-    int64_t ring_overflow = 0;
+    std::vector<Handoff> outbox;
   };
 
-  Channel& channel(int src, int dst) {
-    return *channels_[src * num_shards() + dst];
-  }
-
-  // Runs at every epoch barrier: drain, sort, stage arrivals.
+  // Runs at every epoch barrier: collect the outboxes, sort, stage
+  // arrivals.
   void Exchange();
   // Recomputes the per-pair lookahead matrix from each shard's cluster
   // footprint (lazy, after host additions).
@@ -171,7 +137,6 @@ class ShardedFabricGroup : public ShardRouter {
   ShardedSim* sharded_;
   NicParams params_;
   std::vector<std::unique_ptr<Fabric>> fabrics_;
-  std::vector<std::unique_ptr<Channel>> channels_;
   std::vector<PerSource> per_source_;
   std::vector<int> host_shard_;
   std::vector<Handoff> scratch_;  // coordinator-only sort buffer
@@ -180,9 +145,8 @@ class ShardedFabricGroup : public ShardRouter {
 
   // Profiling state (EnableProfiling), written only at barriers.
   bool profiling_ = false;
-  std::vector<Counter*> prof_inbound_;     // per dst shard
-  std::vector<int64_t> max_ring_batches_;  // per dst, running max
-  std::vector<int64_t> max_inbound_;       // per dst, running max
+  std::vector<Counter*> prof_inbound_;  // per dst shard
+  std::vector<int64_t> max_inbound_;    // per dst, running max
 };
 
 }  // namespace snap

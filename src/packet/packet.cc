@@ -7,15 +7,32 @@ namespace {
 // Singly-linked freelist threaded through the recycled blocks themselves.
 // thread_local: the simulator is single-threaded, but benchmarks and tests
 // may run several simulators on different threads; per-thread lists need
-// no locking and a block freed on another thread simply lands there.
+// no locking and a block freed on another thread simply lands there. The
+// list owns its blocks, so a thread's parked blocks are returned to the
+// heap when that thread exits (shard and live worker threads come and go).
 struct FreeBlock {
   FreeBlock* next;
 };
 
 constexpr int kMaxFreeBlocks = 4096;
 
-thread_local FreeBlock* t_free_list = nullptr;
-thread_local int t_free_count = 0;
+struct FreeList {
+  FreeBlock* head = nullptr;
+  int count = 0;
+
+  FreeList() = default;
+  FreeList(const FreeList&) = delete;
+  FreeList& operator=(const FreeList&) = delete;
+  ~FreeList() {
+    while (head != nullptr) {
+      FreeBlock* block = head;
+      head = block->next;
+      ::operator delete(block);
+    }
+  }
+};
+
+thread_local FreeList t_free;
 
 // Payload-buffer cache: cleared vectors that keep their heap capacity.
 // Bounded both in count and per-buffer capacity so a rare jumbo payload
@@ -50,10 +67,10 @@ Packet::Packet() : data(TakePayloadBuffer()) {}
 Packet::~Packet() { StashPayloadBuffer(std::move(data)); }
 
 void* Packet::operator new(std::size_t size) {
-  if (size == sizeof(Packet) && t_free_list != nullptr) {
-    FreeBlock* block = t_free_list;
-    t_free_list = block->next;
-    --t_free_count;
+  if (size == sizeof(Packet) && t_free.head != nullptr) {
+    FreeBlock* block = t_free.head;
+    t_free.head = block->next;
+    --t_free.count;
     return block;
   }
   return ::operator new(size);
@@ -63,11 +80,11 @@ void Packet::operator delete(void* p) noexcept {
   if (p == nullptr) {
     return;
   }
-  if (t_free_count < kMaxFreeBlocks) {
+  if (t_free.count < kMaxFreeBlocks) {
     auto* block = static_cast<FreeBlock*>(p);
-    block->next = t_free_list;
-    t_free_list = block;
-    ++t_free_count;
+    block->next = t_free.head;
+    t_free.head = block;
+    ++t_free.count;
     return;
   }
   ::operator delete(p);

@@ -24,8 +24,8 @@
 // so there is no direct diagonal term — and a single-shard run needs no
 // barriers at all (H = never; one epoch per RunUntil). At each epoch
 // barrier all shards are parked, the registered barrier hooks run on the
-// coordinating thread (this is where src/net/shard_net.h drains the
-// inter-shard rings and stages arrivals in canonical order), and new
+// coordinating thread (this is where src/net/shard_net.h collects the
+// per-shard outboxes and stages arrivals in canonical order), and new
 // horizons are computed from the post-exchange event set.
 //
 // Safety: any future arrival at d descends from a chain rooted at some

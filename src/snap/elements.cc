@@ -87,12 +87,9 @@ ElementVerdict CrcCheckElement::Process(SimTime now, PacketPtr& packet) {
   if (packet->proto != WireProtocol::kPony || packet->data.empty()) {
     return ElementVerdict::kPass;  // nothing to verify
   }
-  uint32_t expected = packet->pony.crc32;
-  if (expected == 0) {
-    return ElementVerdict::kPass;  // sender did not stamp a CRC
-  }
-  uint32_t actual = PonyPacketCrc(packet->pony, packet->data);
-  if (actual != expected) {
+  // Every Pony sender stamps a CRC, so crc32 == 0 is verified like any
+  // other value rather than read as "unstamped".
+  if (!VerifyPonyPacketCrc(packet->pony, packet->data)) {
     ++corrupt_drops_;
     packet.reset();
     return ElementVerdict::kDrop;

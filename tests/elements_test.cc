@@ -137,6 +137,23 @@ TEST(CrcCheckTest, DropsCorruptedPayload) {
   EXPECT_EQ(crc.corrupt_drops(), 1);
 }
 
+TEST(CrcCheckTest, ZeroCrcIsVerifiedNotSkipped) {
+  // crc32 == 0 is not an opt-out: a frame whose payload was tampered
+  // with and whose CRC field was zeroed is corrupt like any other.
+  CrcCheckElement crc("crc");
+  auto p = std::make_unique<Packet>();
+  p->proto = WireProtocol::kPony;
+  p->data = {1, 2, 3, 4};
+  p->payload_bytes = 4;
+  p->wire_bytes = 68;
+  p->data[2] ^= 0xFF;
+  p->pony.crc32 = 0;
+  ASSERT_NE(PonyPacketCrc(p->pony, p->data), 0u);
+  EXPECT_EQ(crc.Process(0, p), ElementVerdict::kDrop);
+  EXPECT_EQ(p, nullptr);
+  EXPECT_EQ(crc.corrupt_drops(), 1);
+}
+
 TEST(PipelineTest, RunsElementsInOrderAndStopsOnDrop) {
   Pipeline pipeline;
   auto counter_before = std::make_unique<CounterElement>("before");

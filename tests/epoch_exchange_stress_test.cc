@@ -1,13 +1,18 @@
-// Threaded stress tests for the queues in their epoch-exchange roles
-// (src/net/shard_net.h): shard threads burst hand-offs into per-channel
-// SPSC rings while a coordinator drains them at barriers. The model
-// checker (src/verify) proves the small interleavings exhaustively;
-// these tests hammer the real std::atomic build with real threads and
-// real barriers — over a million operations — so TSan sees the exact
-// producer/consumer shape the sharded simulator uses. Assertions check
-// exactly-once delivery and per-producer FIFO order; races surface as
-// TSan reports (the `tsan` ctest label wires these into the sanitizer
-// CI matrix).
+// Threaded stress tests for the lock-free queues under an epoch-barrier
+// workload: producer threads burst items into SPSC rings (and an MPSC
+// queue) while a coordinator drains them at barriers. The model checker
+// (src/verify) proves the small interleavings exhaustively; these tests
+// hammer the real std::atomic build with real threads and real barriers
+// — over a million operations — so TSan sees a producer/consumer shape
+// with both parties running at once. Assertions check exactly-once
+// delivery and per-producer FIFO order; races surface as TSan reports
+// (the `tsan` ctest label wires these into the sanitizer CI matrix).
+//
+// The sharded simulator's cross-shard exchange (src/net/shard_net.h) does
+// not use these queues: its per-shard outboxes are plain vectors that are
+// never read while written, so the epoch barriers alone order them.
+// The queues' real concurrent users are the engine/application rings and
+// the live loopback fabric.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -30,11 +35,10 @@ constexpr uint64_t Tag(int producer, uint64_t seq) {
   return (static_cast<uint64_t>(producer) << 48) | seq;
 }
 
-// The exchange shape: P producer threads each own one SpscRing toward the
-// coordinator (the (src, dst) channel matrix gives every directed pair its
-// own ring, so each ring really is single-producer). Producers burst up to
-// a full epoch's traffic, park at a barrier, and the coordinator drains
-// every ring while they wait — exactly ShardedFabricGroup::Exchange().
+// P producer threads each own one SpscRing toward the coordinator, so
+// each ring really is single-producer. Producers burst up to a ring's
+// capacity, park at a barrier, and the coordinator drains every ring
+// while they wait.
 TEST(EpochExchangeStressTest, SpscRingsBurstAndBarrierDrain) {
   constexpr int kProducers = 4;
   constexpr int kRounds = 300;
@@ -93,10 +97,10 @@ TEST(EpochExchangeStressTest, SpscRingsBurstAndBarrierDrain) {
   }
 }
 
-// Overflow variant: bursts exceed ring capacity, exercising the spill
-// discipline shard_net relies on — once a ring fills it stays full until
-// the barrier, so everything spilled was staged after everything ringed
-// and (ring, then spill) preserves the producer's staging order.
+// Overflow variant: bursts exceed ring capacity and spill to a
+// producer-owned vector. Once a ring fills it stays full until the
+// barrier, so everything spilled was staged after everything ringed and
+// (ring, then spill) preserves the producer's staging order.
 TEST(EpochExchangeStressTest, SpscRingOverflowSpillKeepsOrder) {
   constexpr int kProducers = 4;
   constexpr int kRounds = 200;
@@ -129,8 +133,7 @@ TEST(EpochExchangeStressTest, SpscRingOverflowSpillKeepsOrder) {
         }
         staged.arrive_and_wait();
         // Barrier: coordinator drains ring + spill. The producer touches
-        // the spill vector again only after `drained`, matching the
-        // source-shard thread's epoch lifecycle.
+        // the spill vector again only after `drained`.
         drained.arrive_and_wait();
       }
     });

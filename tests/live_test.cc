@@ -3,7 +3,11 @@
 // over both live fabrics with QoS + telemetry + tracing attached, and the
 // sim-vs-live parity check the substrate split promises: same engines,
 // same transport, same observable message counts.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <thread>
@@ -14,6 +18,7 @@
 #include "src/live/live_runtime.h"
 #include "src/packet/wire.h"
 #include "src/qos/tenant.h"
+#include "src/sim/simulator.h"
 
 namespace snap {
 namespace {
@@ -231,6 +236,56 @@ TEST(LiveRuntimeTest, UdpEchoEndToEnd) {
   ExpectCleanEngines(&runtime);
   LiveRuntime::FabricStats fabric = runtime.GetFabricStats();
   EXPECT_GT(fabric.delivered, 2 * kIterations);
+}
+
+// Live ingress trusts nothing a socket hands it: a well-formed frame that
+// names another host as its destination, or a source outside the rack,
+// is dropped at the receiving socket and counted, never delivered.
+TEST(UdpFabricTest, DropsMisaddressedFramesAtIngress) {
+  UdpFabric fabric(3);
+  Status init = fabric.Init();
+  if (!init.ok()) {
+    GTEST_SKIP() << "UDP sockets unavailable: " << init.message();
+  }
+  Simulator sim(1);
+  Nic nic(&sim, &fabric, /*host_id=*/1, NicParams{});
+  fabric.AddHost(1, &nic, nullptr);
+
+  int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in to{};
+  to.sin_family = AF_INET;
+  to.sin_port = htons(fabric.port(1));
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &to.sin_addr), 1);
+  auto send_frame = [&](int src_host, int dst_host) {
+    Packet packet;
+    packet.src_host = src_host;
+    packet.dst_host = dst_host;
+    packet.data = {1, 2, 3};
+    std::vector<uint8_t> frame;
+    ASSERT_TRUE(EncodeWireFrame(packet, &frame).ok());
+    ASSERT_EQ(::sendto(fd, frame.data(), frame.size(), 0,
+                       reinterpret_cast<const sockaddr*>(&to), sizeof(to)),
+              static_cast<ssize_t>(frame.size()));
+  };
+  send_frame(0, 2);  // addressed to host 2, arrives on host 1's socket
+  send_frame(7, 1);  // source outside the 3-host rack
+  send_frame(0, 1);  // well addressed: the one frame to deliver
+
+  const int64_t deadline = MonotonicTimeNs() + kTestDeadlineNs;
+  int delivered = 0;
+  while (delivered + fabric.GetStats().dropped_bad_address < 3 &&
+         MonotonicTimeNs() < deadline) {
+    delivered += fabric.DrainTo(1);
+  }
+  ::close(fd);
+
+  const UdpFabric::Stats stats = fabric.GetStats();
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(stats.delivered, 1);
+  EXPECT_EQ(stats.dropped_bad_address, 2);
+  EXPECT_EQ(stats.dropped_decode, 0);
+  EXPECT_EQ(nic.stats().rx_packets, 1);
 }
 
 // The substrate promise: the sim and live runtimes drive the SAME engine

@@ -167,6 +167,28 @@ TEST(WireTest, NegotiationPicksHighestCommon) {
   EXPECT_FALSE(v.ok());  // disjoint
 }
 
+// --- Packet block freelist --------------------------------------------------
+
+TEST(PacketTest, BlocksParkedOnExitingThreadAreFreed) {
+  // Packet blocks freed on a thread park on that thread's freelist. The
+  // list must hand them back to the heap when the thread exits, as shard
+  // and live worker threads do; under LeakSanitizer a block stranded on
+  // a dead thread's list fails this binary.
+  constexpr int kPackets = 8;
+  std::vector<PacketPtr> held;
+  for (int i = 0; i < kPackets; ++i) {
+    held.push_back(std::make_unique<Packet>());
+    held.back()->data.assign(64, static_cast<uint8_t>(i));
+  }
+  std::thread worker([&held] { held.clear(); });
+  worker.join();
+  EXPECT_TRUE(held.empty());
+  // A fresh allocation here is served by this thread's own list or the
+  // heap, never by the exited thread's list.
+  PacketPtr p = std::make_unique<Packet>();
+  EXPECT_TRUE(p->data.empty());
+}
+
 // --- PacketPool -------------------------------------------------------------
 
 TEST(PacketPoolTest, AllocateAndFree) {

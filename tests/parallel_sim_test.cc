@@ -200,10 +200,8 @@ TEST(ShardedSimTest, ClusteredLookaheadLengthensEpochs) {
 }
 
 TEST(ShardedSimTest, RingOverflowSpillPreservesOrder) {
-  // One epoch emits far more handoffs than the per-channel rings hold
-  // (kChannelBatches * kHandoffBatchSize = 1024): the overflow spills,
-  // and delivery order at the destination is still exactly emission
-  // order.
+  // One epoch emits a 2500-handoff burst into a single outbox: delivery
+  // order at the destination is still exactly emission order.
   ShardedSim::Options options;
   options.num_shards = 2;
   options.lookahead = NicParams{}.propagation_delay;
@@ -238,8 +236,30 @@ TEST(ShardedSimTest, RingOverflowSpillPreservesOrder) {
   }
   const ShardedFabricGroup::ExchangeStats xs = group.exchange_stats();
   EXPECT_EQ(xs.cross_shard, kPackets);
-  EXPECT_GT(xs.ring_overflow, 0) << "burst never overflowed the ring; "
-                                    "the spill path was not exercised";
+}
+
+TEST(ShardedSimTest, TeardownReclaimsStagedHandoffs) {
+  // Cross-shard packets routed but never exchanged (no barrier ran) are
+  // owned by the source outbox; destroying the group frees them, which
+  // LeakSanitizer checks in the ASan build.
+  ShardedSim::Options options;
+  options.num_shards = 2;
+  options.lookahead = NicParams{}.propagation_delay;
+  ShardedSim sharded(options);
+  ShardedFabricGroup group(&sharded, NicParams{});
+  group.fabric(0)->AddHost();
+  group.fabric(1)->AddHost();
+  for (int i = 0; i < 40; ++i) {
+    auto p = std::make_unique<Packet>();
+    p->src_host = i % 2;
+    p->dst_host = 1 - i % 2;
+    p->wire_bytes = 64;
+    p->data.assign(32, static_cast<uint8_t>(i));
+    group.fabric(i % 2)->Route(std::move(p), 1000 + i);
+  }
+  const ShardedFabricGroup::ExchangeStats xs = group.exchange_stats();
+  EXPECT_EQ(xs.cross_shard, 40);
+  EXPECT_EQ(xs.exchanges, 0);
 }
 
 TEST(ShardedSimTest, CrossShardPacketConservationUnderChaos) {
