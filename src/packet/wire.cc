@@ -172,7 +172,13 @@ StatusOr<uint16_t> NegotiateWireVersion(uint16_t local_min, uint16_t local_max,
 namespace {
 // Frame layout version, independent of the Pony header version it carries.
 constexpr uint16_t kWireFrameVersion = 1;
+// Fixed frame fields around the Pony header: magic, frame version, src,
+// dst, steering hash, tenant, payload_bytes, wire_bytes, header length,
+// then the payload length ahead of the payload bytes.
+constexpr int kFrameFieldBytes = 4 + 2 + 4 + 4 + 4 + 4 + 4 + 4 + 2 + 4;
 }  // namespace
+
+int WireFrameOverheadBytes() { return kFrameFieldBytes + kV2Size; }
 
 Status EncodeWireFrame(const Packet& packet, std::vector<uint8_t>* out) {
   if (packet.proto != WireProtocol::kPony) {
@@ -185,8 +191,7 @@ Status EncodeWireFrame(const Packet& packet, std::vector<uint8_t>* out) {
   }
   size_t header_len = EncodePonyHeaderRaw(packet.pony, header);
   out->clear();
-  out->reserve(4 + 2 + 4 + 4 + 4 + 4 + 4 + 4 + 2 + header_len + 4 +
-               packet.data.size());
+  out->reserve(kFrameFieldBytes + header_len + packet.data.size());
   auto put = [out](const auto& value) {
     const auto* p = reinterpret_cast<const uint8_t*>(&value);
     out->insert(out->end(), p, p + sizeof(value));

@@ -73,6 +73,11 @@ Status EncodeWireFrame(const Packet& packet, std::vector<uint8_t>* out);
 // Parses a frame; fails on bad magic, truncation, or unsupported versions.
 StatusOr<PacketPtr> DecodeWireFrame(const uint8_t* data, size_t len);
 
+// Largest number of bytes a frame adds around its payload bytes (frame
+// fields plus the Pony header at its largest version): a frame is never
+// longer than this plus packet.data.size().
+int WireFrameOverheadBytes();
+
 // --- Control-plane frames (rendezvous, src/live/udp_fabric.h) -------------
 //
 // The out-of-band channel of Section 3.1: before any data frame flows

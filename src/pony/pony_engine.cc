@@ -55,6 +55,12 @@ PonyEngine::PonyEngine(std::string name, Substrate* sim, Nic* nic,
   }
 }
 
+void PonyEngine::set_mtu_payload(int bytes) {
+  SNAP_CHECK_GT(bytes, 0);
+  SNAP_CHECK(flows_.empty()) << "fragment size is fixed once flows exist";
+  params_.mtu_payload = bytes;
+}
+
 PonyEngine::~PonyEngine() {
   wake_timer_.Cancel();
   if (attached_) {

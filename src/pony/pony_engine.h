@@ -51,6 +51,10 @@ class PonyEngine : public Engine {
   uint32_t engine_id() const { return engine_id_; }
   SimTime now() const { return sim_->now(); }
   const PonyParams& params() const { return params_; }
+  // Setup phase, before any flow exists: the payload bytes per two-sided
+  // message fragment (params().mtu_payload). Flows read it through a
+  // pointer, so every flow created later fragments at this size.
+  void set_mtu_payload(int bytes);
 
   // --- Engine interface ---
   PollResult Poll(SimTime now, SimDuration budget_ns) override;

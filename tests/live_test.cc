@@ -288,6 +288,159 @@ TEST(UdpFabricTest, DropsMisaddressedFramesAtIngress) {
   EXPECT_EQ(nic.stats().rx_packets, 1);
 }
 
+// A frame the receiver's buffer could not hold whole is refused at the
+// sender: one exactly at kMaxFrameBytes arrives, one a byte over is
+// counted in dropped_oversize and never reaches the receiving socket.
+TEST(UdpFabricTest, RefusesFramesAboveTheReceiveBuffer) {
+  UdpFabric fabric(2);
+  Status init = fabric.Init();
+  if (!init.ok()) {
+    GTEST_SKIP() << "UDP sockets unavailable: " << init.message();
+  }
+  Simulator sim(1);
+  Nic receiver(&sim, &fabric, /*host_id=*/1, NicParams{});
+  fabric.AddHost(1, &receiver, nullptr);
+
+  // A packet whose encoded frame is exactly `frame_bytes` long.
+  auto packet_of_frame_size = [](size_t frame_bytes) {
+    auto packet = std::make_unique<Packet>();
+    packet->src_host = 0;
+    packet->dst_host = 1;
+    std::vector<uint8_t> frame;
+    EXPECT_TRUE(EncodeWireFrame(*packet, &frame).ok());
+    packet->data.assign(frame_bytes - frame.size(), 0x5a);
+    EXPECT_TRUE(EncodeWireFrame(*packet, &frame).ok());
+    EXPECT_EQ(frame.size(), frame_bytes);
+    return packet;
+  };
+  // The oversize frame goes first: loopback keeps one socket pair's
+  // order, so once the at-cap frame arrives the other would have too.
+  fabric.Route(packet_of_frame_size(UdpFabric::kMaxFrameBytes + 1), 0);
+  fabric.Route(packet_of_frame_size(UdpFabric::kMaxFrameBytes), 0);
+
+  const int64_t deadline = MonotonicTimeNs() + kTestDeadlineNs;
+  int delivered = 0;
+  while (delivered < 1 && MonotonicTimeNs() < deadline) {
+    delivered += fabric.DrainTo(1);
+  }
+  delivered += fabric.DrainTo(1);
+
+  const UdpFabric::Stats stats = fabric.GetStats();
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(stats.delivered, 1);
+  EXPECT_EQ(stats.dropped_oversize, 1);
+  EXPECT_EQ(stats.dropped_send, 0);
+  EXPECT_EQ(stats.dropped_decode, 0);
+  EXPECT_EQ(receiver.stats().rx_packets, 1);
+}
+
+// Lockstep echo of `iterations` messages of `bytes` patterned bytes over
+// `runtime` (not started yet); counts echoes that differ from their
+// request in length or any byte.
+struct ExactEchoRun {
+  int64_t echoed = 0;
+  int64_t mismatched = 0;
+  bool timed_out = false;
+  LiveAppResult server;
+};
+ExactEchoRun RunExactEcho(LiveRuntime* runtime, int iterations,
+                          int64_t bytes) {
+  auto client = runtime->host(0)->CreateClient("exact-client");
+  auto server = runtime->host(1)->CreateClient("exact-server");
+  PonyAddress client_addr = runtime->host(0)->engine()->address();
+  PonyAddress server_addr = runtime->host(1)->engine()->address();
+  uint64_t ping_stream = client->CreateStream(server_addr);
+  uint64_t reply_stream = server->CreateStream(client_addr);
+
+  runtime->Start();
+  const int64_t deadline = MonotonicTimeNs() + kTestDeadlineNs;
+  ExactEchoRun run;
+  std::thread server_thread([&] {
+    run.server = RunLiveEchoServer(server.get(), reply_stream, client_addr,
+                                   iterations, deadline);
+  });
+  CpuCostSink sink;
+  std::vector<uint8_t> payload(static_cast<size_t>(bytes));
+  for (int i = 0; i < iterations && !run.timed_out; ++i) {
+    // Position-dependent bytes: a fragment landing at the wrong offset
+    // changes the echo.
+    for (size_t b = 0; b < payload.size(); ++b) {
+      payload[b] = static_cast<uint8_t>(b * 131 + (b >> 8) + i * 7);
+    }
+    while (client->SendMessage(server_addr, ping_stream, bytes, payload,
+                               &sink) == 0 &&
+           MonotonicTimeNs() <= deadline) {
+      while (client->PollCompletion(&sink)) {
+      }
+    }
+    while (true) {
+      while (client->PollCompletion(&sink)) {
+      }
+      if (auto msg = client->PollMessage(&sink)) {
+        ++run.echoed;
+        if (msg->length != bytes || msg->data != payload) {
+          ++run.mismatched;
+        }
+        break;
+      }
+      if (MonotonicTimeNs() > deadline) {
+        run.timed_out = true;
+        break;
+      }
+    }
+  }
+  server_thread.join();
+  runtime->Stop();
+  return run;
+}
+
+// Messages longer than one fragment cross live UDP intact: 4 KB, 64 KB
+// and one byte past the fragment size (a full fragment plus a one-byte
+// tail) echo back byte for byte. Fragments are sized to the path MTU, so
+// a 4 KB RPC costs fewer datagrams than its 2 KB-fragment data alone
+// (three each way) would.
+TEST(LiveRuntimeTest, UdpEchoesMultiFragmentMessagesExactly) {
+  LiveRuntime::Options options;
+  options.num_hosts = 2;
+  options.fabric = LiveRuntime::FabricKind::kUdp;
+  // The datagram count below is what fragment sizing decides, so keep
+  // retransmission timers out of it: sanitizer builds run slowly enough
+  // for the default 400 us RTO floor to fire spuriously, and each
+  // spurious retransmit adds a data datagram and an ack.
+  options.pony.min_rto = 50 * kMsec;
+  int64_t fragment = 0;
+  {
+    LiveRuntime probe(options);
+    Status init = probe.Init();
+    if (!init.ok()) {
+      GTEST_SKIP() << "UDP sockets unavailable: " << init.message();
+    }
+    fragment = probe.host(0)->engine()->params().mtu_payload;
+  }
+  ASSERT_GT(fragment, 0);
+
+  constexpr int kIterations = 20;
+  for (int64_t bytes : {int64_t{4096}, int64_t{64 * 1024}, fragment + 1}) {
+    SCOPED_TRACE("message bytes " + std::to_string(bytes));
+    LiveRuntime runtime(options);
+    ASSERT_TRUE(runtime.Init().ok());
+    ExactEchoRun run = RunExactEcho(&runtime, kIterations, bytes);
+
+    EXPECT_FALSE(run.timed_out);
+    EXPECT_FALSE(run.server.timed_out);
+    EXPECT_EQ(run.echoed, kIterations);
+    EXPECT_EQ(run.mismatched, 0);
+    EXPECT_EQ(run.server.messages_received, kIterations);
+    EXPECT_EQ(run.server.send_errors, 0);
+    ExpectCleanEngines(&runtime);
+    const LiveRuntime::FabricStats fabric = runtime.GetFabricStats();
+    EXPECT_EQ(fabric.dropped, 0);
+    if (bytes == 4096) {
+      EXPECT_LT(static_cast<double>(fabric.delivered) / kIterations, 6.0);
+    }
+  }
+}
+
 // The substrate promise: the sim and live runtimes drive the SAME engine
 // and transport code, so the application-observable outcome of a fixed
 // workload — messages delivered, bytes delivered, zero integrity errors —
