@@ -52,6 +52,9 @@ struct CaseResult {
   double p99_rtt_us = 0;
   int64_t fabric_delivered = 0;
   int64_t fabric_dropped = 0;
+  // Data packets the flows sent, first transmissions only: the message
+  // fragments, which retransmits and ack timing do not change.
+  int64_t data_packets = 0;
 };
 
 double PercentileUs(std::vector<int64_t> rtts, double p) {
@@ -135,6 +138,11 @@ CaseResult RunCase(const std::string& name, LiveRuntime::FabricKind fabric,
   LiveRuntime::FabricStats fabric_stats = runtime.GetFabricStats();
   result.fabric_delivered = fabric_stats.delivered;
   result.fabric_dropped = fabric_stats.dropped;
+  for (int h = 0; h < 2; ++h) {
+    runtime.host(h)->engine()->ForEachFlow([&](const Flow& flow) {
+      result.data_packets += flow.stats().data_packets_sent;
+    });
+  }
   return result;
 }
 
@@ -182,8 +190,10 @@ void WriteJsonCase(std::FILE* f, const CaseResult& r, bool last) {
     std::fprintf(f, "      \"p99_rtt_us\": %.2f,\n", r.p99_rtt_us);
     std::fprintf(f, "      \"fabric_delivered\": %lld,\n",
                  static_cast<long long>(r.fabric_delivered));
-    std::fprintf(f, "      \"fabric_dropped\": %lld\n",
+    std::fprintf(f, "      \"fabric_dropped\": %lld,\n",
                  static_cast<long long>(r.fabric_dropped));
+    std::fprintf(f, "      \"data_packets\": %lld\n",
+                 static_cast<long long>(r.data_packets));
   }
   std::fprintf(f, "    }%s\n", last ? "" : ",");
 }
