@@ -8,7 +8,8 @@
 // spin-polling.
 //
 // Numbers here are wall-clock on whatever machine runs this, so the JSON
-// records hw_cores and per-case num_threads and the trajectory gate
+// records hw_cores (the cores the affinity mask allows) and per-case
+// num_threads (UDP cases add datagrams per RPC), and the trajectory gate
 // (tools/bench_trajectory.py --bench live_echo) is completeness — every
 // RPC finished, zero transport errors — everywhere, with hard
 // latency/throughput bars applied only on runners with enough cores to
@@ -16,6 +17,8 @@
 //
 // Usage:
 //   bench_live_echo [--smoke] [--json PATH]
+#include <sched.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -52,10 +55,23 @@ struct CaseResult {
   double p99_rtt_us = 0;
   int64_t fabric_delivered = 0;
   int64_t fabric_dropped = 0;
+  // UDP datagrams sent (each carries 1..n frames); 0 on loopback.
+  int64_t datagrams_sent = 0;
   // Data packets the flows sent, first transmissions only: the message
   // fragments, which retransmits and ack timing do not change.
   int64_t data_packets = 0;
 };
+
+// Cores this process may run on: the affinity mask, not the machine, so
+// a run under `taskset -c 0` is recorded (and gated) as one core.
+int UsableCores() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return CPU_COUNT(&set);
+  }
+  return static_cast<int>(std::thread::hardware_concurrency());
+}
 
 double PercentileUs(std::vector<int64_t> rtts, double p) {
   if (rtts.empty()) {
@@ -138,6 +154,7 @@ CaseResult RunCase(const std::string& name, LiveRuntime::FabricKind fabric,
   LiveRuntime::FabricStats fabric_stats = runtime.GetFabricStats();
   result.fabric_delivered = fabric_stats.delivered;
   result.fabric_dropped = fabric_stats.dropped;
+  result.datagrams_sent = fabric_stats.datagrams_sent;
   for (int h = 0; h < 2; ++h) {
     runtime.host(h)->engine()->ForEachFlow([&](const Flow& flow) {
       result.data_packets += flow.stats().data_packets_sent;
@@ -153,12 +170,17 @@ void PrintCase(const CaseResult& r) {
     return;
   }
   std::printf("%-20s %7d x %5lldB w=%-3d %s  %10.0f rpc/s  %8.1f Mbps  "
-              "p50 %7.1fus  p99 %7.1fus  drops %lld\n",
+              "p50 %7.1fus  p99 %7.1fus  drops %lld",
               r.name.c_str(), r.iterations,
               static_cast<long long>(r.message_bytes), r.outstanding,
               r.completed && r.errors == 0 ? "ok  " : "FAIL",
               r.rpcs_per_sec, r.goodput_mbps, r.p50_rtt_us, r.p99_rtt_us,
               static_cast<long long>(r.fabric_dropped));
+  if (r.datagrams_sent > 0) {
+    std::printf("  %.2f datagrams/rpc",
+                static_cast<double>(r.datagrams_sent) / r.iterations);
+  }
+  std::printf("\n");
 }
 
 void WriteJsonCase(std::FILE* f, const CaseResult& r, bool last) {
@@ -192,6 +214,12 @@ void WriteJsonCase(std::FILE* f, const CaseResult& r, bool last) {
                  static_cast<long long>(r.fabric_delivered));
     std::fprintf(f, "      \"fabric_dropped\": %lld,\n",
                  static_cast<long long>(r.fabric_dropped));
+    if (r.datagrams_sent > 0) {
+      std::fprintf(f, "      \"datagrams_sent\": %lld,\n",
+                   static_cast<long long>(r.datagrams_sent));
+      std::fprintf(f, "      \"datagrams_per_rpc\": %.3f,\n",
+                   static_cast<double>(r.datagrams_sent) / r.iterations);
+    }
     std::fprintf(f, "      \"data_packets\": %lld\n",
                  static_cast<long long>(r.data_packets));
   }
@@ -266,8 +294,7 @@ int Main(int argc, char** argv) {
       return 2;
     }
     std::fprintf(f, "{\n  \"smoke\": %s,\n", smoke ? "true" : "false");
-    std::fprintf(f, "  \"hw_cores\": %u,\n",
-                 std::thread::hardware_concurrency());
+    std::fprintf(f, "  \"hw_cores\": %d,\n", UsableCores());
     std::fprintf(f, "  \"benchmarks\": {\n");
     for (size_t i = 0; i < results.size(); ++i) {
       WriteJsonCase(f, results[i], i + 1 == results.size());

@@ -32,7 +32,9 @@ void PinThreadToCore(int core) {
 }
 
 LiveExecutor::LiveExecutor(uint64_t seed, int64_t epoch_ns, Options options)
-    : Substrate(seed), options_(std::move(options)), epoch_ns_(epoch_ns) {
+    : Substrate(seed, /*live=*/true),
+      options_(std::move(options)),
+      epoch_ns_(epoch_ns) {
   set_now(MonotonicTimeNs() - epoch_ns_);
 }
 
@@ -45,6 +47,11 @@ void LiveExecutor::AddEngine(Engine* engine) {
 void LiveExecutor::SetPollHook(std::function<int()> hook) {
   SNAP_CHECK(!running()) << "SetPollHook after Start";
   poll_hook_ = std::move(hook);
+}
+
+void LiveExecutor::SetPassEndHook(std::function<void()> hook) {
+  SNAP_CHECK(!running()) << "SetPassEndHook after Start";
+  pass_end_hook_ = std::move(hook);
 }
 
 EventHandle LiveExecutor::ScheduleAt(SimTime when, EventQueue::Callback cb) {
@@ -114,6 +121,9 @@ int LiveExecutor::RunPass() {
     Engine::PollResult r = engine->Poll(now, options_.poll_budget);
     work += r.work_items;
     max_delay = std::max(max_delay, engine->QueueingDelay(now));
+  }
+  if (pass_end_hook_) {
+    pass_end_hook_();
   }
   queue_delay_ns_.store(max_delay, std::memory_order_relaxed);
   telemetry().MaybeSampleSeries(now);

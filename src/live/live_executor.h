@@ -74,6 +74,10 @@ class LiveExecutor final : public Substrate {
   // of work items it produced (fabric drains deliver inbound packets
   // here). At most one hook.
   void SetPollHook(std::function<int()> hook);
+  // Runs once per loop iteration, after the engine polls: the last step
+  // of every pass (the UDP fabric sends the datagrams the pass built
+  // here). At most one hook.
+  void SetPassEndHook(std::function<void()> hook);
 
   // --- Substrate ---
   EventHandle ScheduleAt(SimTime when, EventQueue::Callback cb) override;
@@ -83,8 +87,9 @@ class LiveExecutor final : public Substrate {
 
   // --- Scheduler interface (src/live/live_scheduler.h) ---
   // One full pass: advance the clock, run due timers, the poll hook, each
-  // engine's mailbox + Poll, and the self-paced telemetry sample. Returns
-  // the number of work items. Caller must be the (single) owning thread.
+  // engine's mailbox + Poll, the pass-end hook, and the self-paced
+  // telemetry sample. Returns the number of work items. Caller must be
+  // the (single) owning thread.
   int RunPass();
   // Nanoseconds until the next pending timer, from a FRESH clock read
   // (never the stale pass-top time — a park bound computed from stale
@@ -140,6 +145,7 @@ class LiveExecutor final : public Substrate {
   EventQueue events_;
   std::vector<Engine*> engines_;
   std::function<int()> poll_hook_;
+  std::function<void()> pass_end_hook_;
 
   std::atomic<bool> running_{false};
   std::atomic<Doorbell*> wake_target_{nullptr};

@@ -92,8 +92,8 @@ Status LiveRuntime::Init() {
     if (!bound.ok()) {
       return bound;
     }
-    // One datagram per fragment, as large as a frame allows: per-packet
-    // cost (sendto, recvfrom, acks) sets live throughput, not bytes.
+    // Fragments as large as a frame allows: per-packet cost (sendto,
+    // recvfrom, acks) sets live throughput, not bytes.
     for (auto& host : hosts_) {
       if (host != nullptr) {
         host->engine_->set_mtu_payload(UdpFabric::max_payload_bytes());
@@ -299,6 +299,7 @@ LiveRuntime::FabricStats LiveRuntime::GetFabricStats() const {
   } else if (udp_ != nullptr) {
     UdpFabric::Stats f = udp_->GetStats();
     s.delivered = f.delivered;
+    s.datagrams_sent = f.datagrams_sent;
     s.dropped = f.dropped_send + f.dropped_decode + f.dropped_bad_address +
                 f.dropped_oversize;
   }

@@ -144,8 +144,9 @@ class LiveRuntime {
   std::unique_ptr<TraceRecorder> MergedTrace() const;
 
   struct FabricStats {
-    int64_t delivered = 0;
+    int64_t delivered = 0;       // packets (UDP frames) delivered
     int64_t dropped = 0;  // every drop, UDP oversize frames included
+    int64_t datagrams_sent = 0;  // UDP only; each carries 1..n frames
   };
   FabricStats GetFabricStats() const;
 

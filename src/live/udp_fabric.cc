@@ -42,8 +42,15 @@ UdpFabric::UdpFabric(int num_hosts, Options options)
   peers_.resize(num_hosts);
   nics_.resize(num_hosts, nullptr);
   executors_.resize(num_hosts, nullptr);
+  pending_.resize(num_hosts);
+  for (int h = 0; h < num_hosts; ++h) {
+    if (local_[h]) {
+      pending_[h].bytes.reserve(kMaxFrameBytes);  // appends never realloc
+    }
+  }
   for (int i = 0; i < num_hosts; ++i) {
     delivered_.push_back(std::make_unique<std::atomic<int64_t>>(0));
+    datagrams_sent_.push_back(std::make_unique<std::atomic<int64_t>>(0));
     dropped_send_.push_back(std::make_unique<std::atomic<int64_t>>(0));
     dropped_decode_.push_back(std::make_unique<std::atomic<int64_t>>(0));
   }
@@ -369,6 +376,9 @@ void UdpFabric::AddHost(int host_id, Nic* nic, LiveExecutor* executor) {
   SNAP_CHECK(nics_[host_id] == nullptr) << "host registered twice";
   nics_[host_id] = nic;
   executors_[host_id] = executor;
+  if (executor != nullptr) {
+    executor->SetPassEndHook([this, host_id] { Flush(host_id); });
+  }
 }
 
 void UdpFabric::Route(PacketPtr packet, SimTime wire_time) {
@@ -380,28 +390,47 @@ void UdpFabric::Route(PacketPtr packet, SimTime wire_time) {
     dropped_bad_address_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  // Reused per engine thread: encoding allocates nothing at steady state.
-  thread_local std::vector<uint8_t> frame;
-  Status encoded = EncodeWireFrame(*packet, &frame);
-  if (!encoded.ok()) {
-    dropped_send_[src]->fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  if (frame.size() > kMaxFrameBytes) {
+  const size_t frame_bytes = WireFrameBytes(*packet);
+  if (frame_bytes > kMaxFrameBytes) {
     // The receiver's buffer would truncate it; sendto above 65,507 bytes
     // would fail outright. Either way it can never arrive.
     dropped_oversize_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  ssize_t sent =
-      ::sendto(fds_[src], frame.data(), frame.size(), 0,
-               reinterpret_cast<const sockaddr*>(&peers_[dst].addr),
-               sizeof(peers_[dst].addr));
-  if (sent < 0) {
-    // EAGAIN/ENOBUFS: the socket buffer is the congested egress port.
+  Pending& out = pending_[src];
+  if (out.dst != dst || out.bytes.size() + frame_bytes > kMaxFrameBytes) {
+    Flush(src);
+  }
+  if (!AppendWireFrame(*packet, &out.bytes).ok()) {
     dropped_send_[src]->fetch_add(1, std::memory_order_relaxed);
     return;
   }
+  out.dst = dst;
+  ++out.frames;
+  if (executors_[src] == nullptr) {
+    Flush(src);  // no pass end will send it
+  }
+}
+
+void UdpFabric::Flush(int src) {
+  Pending& out = pending_[src];
+  if (out.frames == 0) {
+    return;
+  }
+  const int dst = out.dst;
+  ssize_t sent =
+      ::sendto(fds_[src], out.bytes.data(), out.bytes.size(), 0,
+               reinterpret_cast<const sockaddr*>(&peers_[dst].addr),
+               sizeof(peers_[dst].addr));
+  const int frames = out.frames;
+  out.bytes.clear();
+  out.frames = 0;
+  if (sent < 0) {
+    // EAGAIN/ENOBUFS: the socket buffer is the congested egress port.
+    dropped_send_[src]->fetch_add(frames, std::memory_order_relaxed);
+    return;
+  }
+  datagrams_sent_[src]->fetch_add(1, std::memory_order_relaxed);
   // In-process peers get their doorbell rung; remote peers rely on the
   // receiver's bounded park.
   if (executors_[dst] != nullptr) {
@@ -433,21 +462,30 @@ int UdpFabric::DrainTo(int dst_host) {
       }
       continue;
     }
-    StatusOr<PacketPtr> decoded = DecodeWireFrame(buf, static_cast<size_t>(n));
-    if (!decoded.ok()) {
-      dropped_decode_[dst_host]->fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    // A decodable frame is still untrusted: it must be addressed to this
-    // socket's host and claim a source inside the rack.
-    const Packet& header = **decoded;
-    if (header.dst_host != dst_host || header.src_host < 0 ||
-        header.src_host >= num_hosts_) {
-      dropped_bad_address_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    nic->DeliverFromWire(std::move(*decoded));
-    ++delivered;
+    // Each frame of the datagram is decoded and checked on its own; a
+    // frame that does not decode ends the walk, as nothing after it can
+    // be delimited.
+    size_t at = 0;
+    do {
+      size_t consumed = 0;
+      StatusOr<PacketPtr> decoded =
+          DecodeWireFrame(buf + at, static_cast<size_t>(n) - at, &consumed);
+      if (!decoded.ok()) {
+        dropped_decode_[dst_host]->fetch_add(1, std::memory_order_relaxed);
+        break;
+      }
+      at += consumed;
+      // A decodable frame is still untrusted: it must be addressed to
+      // this socket's host and claim a source inside the rack.
+      const Packet& header = **decoded;
+      if (header.dst_host != dst_host || header.src_host < 0 ||
+          header.src_host >= num_hosts_) {
+        dropped_bad_address_.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      nic->DeliverFromWire(std::move(*decoded));
+      ++delivered;
+    } while (at < static_cast<size_t>(n));
   }
   if (delivered > 0) {
     delivered_[dst_host]->fetch_add(delivered, std::memory_order_relaxed);
@@ -459,6 +497,7 @@ UdpFabric::Stats UdpFabric::GetStats() const {
   Stats s;
   for (int i = 0; i < num_hosts_; ++i) {
     s.delivered += delivered_[i]->load(std::memory_order_relaxed);
+    s.datagrams_sent += datagrams_sent_[i]->load(std::memory_order_relaxed);
     s.dropped_send += dropped_send_[i]->load(std::memory_order_relaxed);
     s.dropped_decode += dropped_decode_[i]->load(std::memory_order_relaxed);
   }

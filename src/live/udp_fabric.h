@@ -2,10 +2,22 @@
 // real Pony Express frames on the wire (src/packet/wire.h full-frame
 // codec).
 //
-// Each local host binds its own non-blocking datagram socket; Route()
-// encodes the packet and sendto()s it from the source host's engine
-// thread, and the destination's poll hook recvfrom()s in batches,
-// decodes, and hands packets to its NIC.
+// Each local host binds its own non-blocking datagram socket. Route()
+// runs on the source host's engine thread and encodes the packet as a
+// frame appended to that host's pending datagram; the destination's poll
+// hook recvfrom()s in batches, decodes every frame of each datagram, and
+// hands the packets to its NIC.
+//
+// Coalescing: a datagram carries 1..n frames back to back, all from one
+// source host to one destination (frames are self-delimiting, so the
+// receiver walks them with DecodeWireFrame). The pending datagram goes
+// out with one sendto() and one doorbell Wake() when the next frame names
+// another destination, when the next frame would take it past
+// kMaxFrameBytes, or when the source executor's pass ends (its pass-end
+// hook) -- so nothing stays pending between passes. A host registered
+// without an executor has no pass end and sends each frame at once.
+// Per-datagram syscall cost, not bytes, bounds live throughput, and one
+// pass of a busy engine routes several frames to its peer.
 //
 // Cross-process/machine operation: a fabric may own only a subset of the
 // rack's hosts (`local_hosts`), with every other host living in another
@@ -25,8 +37,8 @@
 // registers them in the PonyDirectory so flow creation negotiates against
 // real peer limits before the first data frame.
 //
-// Fragment size: every frame fits kMaxFrameBytes, the one receive buffer
-// of DrainTo and rendezvous, so the largest Pony payload a datagram
+// Fragment size: every datagram fits kMaxFrameBytes, the one receive
+// buffer of DrainTo and rendezvous, so the largest Pony payload a frame
 // carries is kMaxFrameBytes minus the frame's own overhead
 // (max_payload_bytes()). LiveRuntime sizes every local engine's fragments
 // to it. Supported live racks run over loopback, whose 65,535-byte MTU
@@ -91,8 +103,9 @@ class UdpFabric : public PacketEgress {
     uint16_t wire_max = kPonyWireVersionMax;
   };
 
-  // Largest frame any host sends or accepts: the receive buffer of
-  // DrainTo and rendezvous, and the cap Route enforces.
+  // Largest datagram any host sends or accepts (so also the largest
+  // frame): the receive buffer of DrainTo and rendezvous, and the cap
+  // Route enforces.
   static constexpr size_t kMaxFrameBytes = 16 * 1024;
 
   explicit UdpFabric(int num_hosts);
@@ -109,10 +122,13 @@ class UdpFabric : public PacketEgress {
     return static_cast<int>(kMaxFrameBytes) - WireFrameOverheadBytes();
   }
 
-  // Setup-thread-only, after Init(). Local hosts only.
+  // Setup-thread-only, after Init(). Local hosts only. A non-null
+  // `executor` is woken when datagrams arrive for `host_id`, and its
+  // pass-end hook sends the datagram the host built during the pass.
   void AddHost(int host_id, Nic* nic, LiveExecutor* executor);
 
-  // PacketEgress; called on the source host's engine thread.
+  // PacketEgress; called on the source host's engine thread. Appends the
+  // packet's frame to the source host's pending datagram.
   void Route(PacketPtr packet, SimTime wire_time) override;
 
   // Drains up to recv_batch datagrams for `dst_host` into its NIC; called
@@ -130,9 +146,11 @@ class UdpFabric : public PacketEgress {
   uint16_t peer_wire_max(int host) const { return peers_[host].wire_max; }
 
   struct Stats {
-    int64_t delivered = 0;
-    int64_t dropped_send = 0;         // sendto failed (buffer full etc.)
-    int64_t dropped_decode = 0;       // undecodable / stray datagram
+    int64_t delivered = 0;            // frames handed to a NIC
+    int64_t datagrams_sent = 0;       // successful data sendto() calls
+    int64_t dropped_send = 0;         // frames in a failed sendto (buffer
+                                      // full etc.) or unencodable
+    int64_t dropped_decode = 0;       // undecodable frame / stray datagram
     int64_t dropped_bad_address = 0;  // src/dst invalid or not this host
     int64_t dropped_oversize = 0;     // frame above kMaxFrameBytes, unsent
     int64_t control_frames = 0;       // rendezvous traffic (both ways)
@@ -153,6 +171,17 @@ class UdpFabric : public PacketEgress {
   std::vector<ControlEntry> LocalEntries() const;
   void AdoptTable(const ControlFrame& table);
   void SendAck(int fd, const sockaddr_in& to);
+  // Sends `src`'s pending datagram, if any. Source host's thread only.
+  void Flush(int src);
+
+  // Frames routed from one source host and not yet sent: one
+  // destination, at most kMaxFrameBytes. Cache-line aligned, as each
+  // host's is written by the thread running that host.
+  struct alignas(64) Pending {
+    std::vector<uint8_t> bytes;
+    int dst = -1;
+    int frames = 0;
+  };
 
   int num_hosts_;
   Options options_;
@@ -163,9 +192,11 @@ class UdpFabric : public PacketEgress {
   std::vector<Peer> peers_;
   std::vector<Nic*> nics_;
   std::vector<LiveExecutor*> executors_;
+  std::vector<Pending> pending_;
   int dir_fd_ = -1;
   sockaddr_in dir_addr_{};
   std::vector<std::unique_ptr<std::atomic<int64_t>>> delivered_;
+  std::vector<std::unique_ptr<std::atomic<int64_t>>> datagrams_sent_;
   std::vector<std::unique_ptr<std::atomic<int64_t>>> dropped_send_;
   std::vector<std::unique_ptr<std::atomic<int64_t>>> dropped_decode_;
   std::atomic<int64_t> dropped_bad_address_{0};

@@ -17,7 +17,8 @@ class PacketEgress {
   virtual ~PacketEgress() = default;
 
   // Takes ownership of a packet that finished serializing onto the source
-  // NIC's uplink at `wire_time` and carries it toward packet->dst_host.
+  // NIC's uplink at `wire_time` (live: the time it was transmitted, as
+  // the live NIC models no link) and carries it toward packet->dst_host.
   // May drop (the fabric is lossy end-to-end; transports retransmit).
   virtual void Route(PacketPtr packet, SimTime wire_time) = 0;
 };

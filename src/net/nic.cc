@@ -99,7 +99,11 @@ void RxQueue::Fire() {
 
 Nic::Nic(Substrate* sim, PacketEgress* egress, int host_id,
          const NicParams& params)
-    : sim_(sim), egress_(egress), host_id_(host_id), params_(params) {
+    : sim_(sim),
+      egress_(egress),
+      host_id_(host_id),
+      params_(params),
+      cut_through_(sim->live()) {
   // Queue 0: the host kernel's default queue.
   queues_.push_back(std::make_unique<RxQueue>(sim_, params_, 0));
 }
@@ -137,13 +141,20 @@ bool Nic::Transmit(PacketPtr packet) {
   SNAP_CHECK_GT(packet->wire_bytes, 0) << "packet must have wire_bytes set";
   SimTime now = sim_->now();
   packet->enqueue_time = now;
-  ++tx_outstanding_;
   ++stats_.tx_packets;
   stats_.tx_bytes += packet->wire_bytes;
   TracePacketPoint(sim_, *packet, "nic_tx");
   if (tx_tap_) {
     tx_tap_(*packet);
   }
+  if (cut_through_ && qos_tx_ == nullptr) {
+    // Live: the egress is the real wire, so the packet leaves in this
+    // call, with no modeled serialization or pipeline delay and no ring
+    // slot held across passes.
+    egress_->Route(std::move(packet), now);
+    return true;
+  }
+  ++tx_outstanding_;
   if (qos_tx_ != nullptr) {
     // QoS TX: park the packet in its tenant's WFQ queue (it keeps its ring
     // slot) and make sure a drain is scheduled for when the link frees up.

@@ -112,6 +112,9 @@ class Nic {
   Status RemoveSteeringFilter(uint32_t key);
 
   // Transmit path. Returns false when no TX descriptor slots are free.
+  // On a live substrate (Substrate::live()) without QoS TX the packet
+  // cuts through to the egress in this call; the sim, and live QoS TX,
+  // model link serialization plus the NIC pipeline delay.
   bool Transmit(PacketPtr packet);
   int TxSlotsAvailable() const;
 
@@ -181,6 +184,8 @@ class Nic {
   PacketEgress* egress_;
   int host_id_;
   NicParams params_;
+  // Live substrate: Transmit hands packets straight to the egress.
+  const bool cut_through_;
   std::vector<std::unique_ptr<RxQueue>> queues_;
   std::map<uint32_t, RxQueue*> steering_;
   // TX serialization onto the link.

@@ -85,6 +85,8 @@ class Reader {
     return p;
   }
 
+  size_t pos() const { return pos_; }
+
  private:
   const uint8_t* data_;
   size_t len_;
@@ -181,6 +183,17 @@ constexpr int kFrameFieldBytes = 4 + 2 + 4 + 4 + 4 + 4 + 4 + 4 + 2 + 4;
 int WireFrameOverheadBytes() { return kFrameFieldBytes + kV2Size; }
 
 Status EncodeWireFrame(const Packet& packet, std::vector<uint8_t>* out) {
+  out->clear();
+  out->reserve(WireFrameBytes(packet));
+  return AppendWireFrame(packet, out);
+}
+
+size_t WireFrameBytes(const Packet& packet) {
+  return kFrameFieldBytes + PonyHeaderWireSize(packet.pony.version) +
+         packet.data.size();
+}
+
+Status AppendWireFrame(const Packet& packet, std::vector<uint8_t>* out) {
   if (packet.proto != WireProtocol::kPony) {
     return InvalidArgumentError("only Pony packets have a frame encoding");
   }
@@ -190,8 +203,6 @@ Status EncodeWireFrame(const Packet& packet, std::vector<uint8_t>* out) {
     return InvalidArgumentError("unsupported wire version");
   }
   size_t header_len = EncodePonyHeaderRaw(packet.pony, header);
-  out->clear();
-  out->reserve(kFrameFieldBytes + header_len + packet.data.size());
   auto put = [out](const auto& value) {
     const auto* p = reinterpret_cast<const uint8_t*>(&value);
     out->insert(out->end(), p, p + sizeof(value));
@@ -211,7 +222,8 @@ Status EncodeWireFrame(const Packet& packet, std::vector<uint8_t>* out) {
   return OkStatus();
 }
 
-StatusOr<PacketPtr> DecodeWireFrame(const uint8_t* data, size_t len) {
+StatusOr<PacketPtr> DecodeWireFrame(const uint8_t* data, size_t len,
+                                    size_t* consumed) {
   Reader r(data, len);
   uint32_t magic = 0;
   uint16_t frame_version = 0;
@@ -251,6 +263,9 @@ StatusOr<PacketPtr> DecodeWireFrame(const uint8_t* data, size_t len) {
     return InvalidArgumentError("truncated frame payload");
   }
   packet->data.assign(payload, payload + data_len);
+  if (consumed != nullptr) {
+    *consumed = r.pos();
+  }
   return packet;
 }
 

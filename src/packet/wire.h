@@ -70,8 +70,20 @@ inline constexpr uint32_t kWireFrameMagic = 0x534e5046;  // "SNPF"
 // packets have a wire encoding; anything else is an error.
 Status EncodeWireFrame(const Packet& packet, std::vector<uint8_t>* out);
 
-// Parses a frame; fails on bad magic, truncation, or unsupported versions.
-StatusOr<PacketPtr> DecodeWireFrame(const uint8_t* data, size_t len);
+// As EncodeWireFrame, but appends the frame after `out`'s existing bytes.
+// Frames are self-delimiting, so one datagram can carry several back to
+// back. On error `out` is unchanged.
+Status AppendWireFrame(const Packet& packet, std::vector<uint8_t>* out);
+
+// Length of the frame AppendWireFrame would write for `packet`.
+size_t WireFrameBytes(const Packet& packet);
+
+// Parses the frame at the start of `data`; fails on bad magic, truncation,
+// or unsupported versions. Bytes after the frame are left alone: on
+// success `*consumed` (when non-null) is the frame's length, where the
+// next frame of a multi-frame datagram starts.
+StatusOr<PacketPtr> DecodeWireFrame(const uint8_t* data, size_t len,
+                                    size_t* consumed = nullptr);
 
 // Largest number of bytes a frame adds around its payload bytes (frame
 // fields plus the Pony header at its largest version): a frame is never

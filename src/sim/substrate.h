@@ -51,6 +51,11 @@ class Substrate {
   // (e.g. the fabric's hashed packet drop) key their hashes off this.
   uint64_t seed() const { return seed_; }
 
+  // True on the live substrate, whose packets cross a real wire (a socket
+  // or an in-process ring) instead of a modeled link. Fixed at
+  // construction; components that differ per substrate read it once.
+  bool live() const { return live_; }
+
   // Schedules `cb` to run at absolute time `when` on the substrate's
   // execution thread. Callers must be on that thread (or, before the
   // substrate starts running, the setup thread). Implementations may clamp
@@ -84,7 +89,8 @@ class Substrate {
   }
 
  protected:
-  explicit Substrate(uint64_t seed) : seed_(seed) {}
+  explicit Substrate(uint64_t seed, bool live = false)
+      : seed_(seed), live_(live) {}
 
   // Advances the clock. Only the substrate's execution thread stores.
   void set_now(SimTime t) { now_.store(t, std::memory_order_relaxed); }
@@ -92,6 +98,7 @@ class Substrate {
  private:
   std::atomic<SimTime> now_{0};
   uint64_t seed_;
+  bool live_;
   Telemetry telemetry_;
   TraceRecorder* tracer_ = nullptr;
   int next_trace_track_ = 0;

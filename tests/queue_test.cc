@@ -69,6 +69,50 @@ TEST(SpscRingTest, WrapsAroundManyTimes) {
   }
 }
 
+// Counts live instances: every construction (default, value, copy,
+// move) against every destruction.
+struct Counted {
+  static inline int live = 0;
+  Counted() { ++live; }
+  explicit Counted(int v) : value(v) { ++live; }
+  Counted(const Counted& other) : value(other.value) { ++live; }
+  Counted(Counted&& other) noexcept : value(other.value) { ++live; }
+  Counted& operator=(const Counted&) = default;
+  Counted& operator=(Counted&&) = default;
+  ~Counted() { --live; }
+  int value = 0;
+};
+
+// Slots are constructed when the producer first reaches them, never
+// again on later laps, and the ring destroys exactly the slots it built.
+TEST(SpscRingTest, BuildsSlotsOnFirstUseAndDestroysThemAll) {
+  Counted::live = 0;
+  {
+    SpscRing<Counted> never_pushed(1024);
+    EXPECT_EQ(Counted::live, 0);
+  }
+  EXPECT_EQ(Counted::live, 0);
+  {
+    SpscRing<Counted> partly_full(8);
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(partly_full.TryPush(Counted(i)));
+    }
+    EXPECT_EQ(partly_full.TryPop()->value, 0);
+    EXPECT_EQ(Counted::live, 3);  // the three slots pushed so far
+  }
+  EXPECT_EQ(Counted::live, 0);
+  {
+    SpscRing<Counted> wrapped(4);
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(wrapped.TryPush(Counted(i)));
+      ASSERT_EQ(wrapped.TryPop()->value, i);
+    }
+    ASSERT_TRUE(wrapped.TryPush(Counted(10)));
+    EXPECT_EQ(Counted::live, 4);  // every slot built once, none rebuilt
+  }
+  EXPECT_EQ(Counted::live, 0);
+}
+
 TEST(SpscRingTest, FullEmptyAlternationAcrossWraparound) {
   // Drive the ring through repeated full->empty cycles so the full() and
   // empty() boundary conditions are checked at every index wrap offset.

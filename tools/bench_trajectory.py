@@ -46,9 +46,11 @@ level under "latest" for easy reading.
                  only, so retransmits and ack timing do not move it)
                  must be <= 4: a 4 KB echo is one data datagram each
                  way when UDP fragments fill the 16 KB frame, against 6
-                 at 2 KB fragments. Fabric datagrams per RPC are
-                 printed, not gated: they add acks and RTO retransmits,
-                 which depend on scheduling (3.0-5.9 on two cores). On
+                 at 2 KB fragments. UDP datagrams per RPC
+                 (datagrams_per_rpc; a datagram carries every frame a
+                 pass routes to one peer) are printed, not gated: they
+                 count acks and RTO retransmits, which depend on
+                 scheduling. On
                  runners with >= 4 hardware cores — where the two
                  engine workers and two app threads genuinely run in
                  parallel — loopback_throughput is additionally
@@ -197,8 +199,8 @@ def main():
                 data_per_rpc = udp["data_packets"] / rpcs
                 print(f"udp_throughput: {data_per_rpc:.2f} data packets "
                       f"per RPC (gate <= 4), "
-                      f"{udp.get('fabric_delivered', 0) / rpcs:.2f} "
-                      f"fabric datagrams per RPC")
+                      f"{udp.get('datagrams_per_rpc', 0):.2f} "
+                      f"datagrams per RPC")
                 if data_per_rpc > 4:
                     sys.exit(f"baseline check FAILED: udp_throughput "
                              f"{data_per_rpc:.2f} data packets per 4 KB "
